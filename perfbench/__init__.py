@@ -1,0 +1,5 @@
+"""Host-adjusted benchmark over the taxonomy study and the query service.
+
+Run one workload with ``python3 perfbench/run.py --workload <name>
+--seed <n> --seconds <s> --trace <0|1>`` from the repository root.
+"""
