@@ -7,7 +7,7 @@ kernel sample and asserts their axis-response agreement at paper
 endpoints.
 """
 
-from repro.gpu import Engine, GpuSimulator, HardwareConfig
+from repro.gpu import GpuSimulator, HardwareConfig
 from repro.suites import all_kernels
 
 ENDPOINTS = [
@@ -37,8 +37,8 @@ def gains(simulator, kernels):
 
 def test_engine_agreement_ablation(benchmark):
     kernels = sample_kernels()
-    interval = GpuSimulator(Engine.INTERVAL)
-    event = GpuSimulator(Engine.EVENT)
+    interval = GpuSimulator("interval")
+    event = GpuSimulator("event")
 
     interval_gains = gains(interval, kernels)
     event_gains = benchmark.pedantic(

@@ -19,7 +19,6 @@ import json
 import os
 import time
 
-from repro.gpu import GridMode
 from repro.gpu.interval_batch import BatchIntervalModel
 from repro.gpu.study_mt import StudyMTModel
 from repro.kernels import KernelPack
@@ -51,14 +50,14 @@ def test_full_study_throughput(benchmark):
     """Whole-study path: all 267 kernels x 891 configs, one broadcast.
 
     This is the tentpole number: the full 237,897-point study through
-    ``GridMode.STUDY``. The floor is 10x the original batch-loop
+    grid mode ``"study"``. The floor is 10x the original batch-loop
     requirement (500k points/s vs the 50k the per-kernel loop was held
     to); the engine measures in the millions on commodity hardware.
     """
     kernels = all_kernels()
 
     dataset = benchmark(
-        lambda: SweepRunner(grid_mode=GridMode.STUDY).run(
+        lambda: SweepRunner(grid_mode="study").run(
             kernels, PAPER_SPACE
         )
     )
@@ -94,7 +93,7 @@ def test_sweep_throughput_scalar(benchmark):
     space = reduced_space(2, 2, 2)
 
     dataset = benchmark(
-        lambda: SweepRunner(grid_mode=GridMode.SCALAR).run(kernels, space)
+        lambda: SweepRunner(grid_mode="scalar").run(kernels, space)
     )
 
     seconds = benchmark.stats.stats.mean
@@ -111,7 +110,7 @@ def test_batch_speedup_over_scalar():
     space = reduced_space(2, 2, 2)
 
     start = time.perf_counter()
-    scalar = SweepRunner(grid_mode=GridMode.SCALAR).run(kernels, space)
+    scalar = SweepRunner(grid_mode="scalar").run(kernels, space)
     scalar_s = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -139,7 +138,7 @@ def test_study_speedup_over_batch_loop():
     batch_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    study = SweepRunner(grid_mode=GridMode.STUDY).run(kernels, space)
+    study = SweepRunner(grid_mode="study").run(kernels, space)
     study_s = time.perf_counter() - start
 
     assert study.perf.shape == batch.perf.shape

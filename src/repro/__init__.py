@@ -29,7 +29,6 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.gpu import (
-    Engine,
     GpuSimulator,
     HardwareConfig,
     Microarchitecture,
@@ -64,7 +63,6 @@ __all__ = [
     "ConfigurationError",
     "ConfigurationSpace",
     "DatasetError",
-    "Engine",
     "GpuSimulator",
     "HardwareConfig",
     "Kernel",

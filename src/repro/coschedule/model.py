@@ -36,16 +36,19 @@ CUs and iterating the shared-resource contention to a fixed point:
   points and starves whichever kernel has the lower achieved
   efficiency.
 
-Per-kernel interval arithmetic deliberately mirrors
-:mod:`repro.gpu.interval_model` operation by operation (association
-order and guards included); a kernel paired with an idle partner
-(``kernel_b=None``) takes the whole machine, keeps the full L2 and a
-demand share of exactly 1.0, and therefore reproduces its
-single-kernel surface bit for bit. The batch path
-(:meth:`CoScheduleModel.pair_surface`) vectorizes the same arithmetic
-over the ``(n_cu, n_eng, n_mem)`` lattice the way
-:mod:`repro.gpu.interval_batch` does, and is pinned bit-exact against
-the per-point loop (:meth:`CoScheduleModel.pair_surface_scalar`).
+The per-point path (:meth:`CoScheduleModel.evaluate`, via
+``_point_terms``) restates :mod:`repro.gpu.interval_model` with the
+contended share and is the scalar reference. A kernel paired with an
+idle partner (``kernel_b=None``) takes the whole machine, keeps the
+full L2 and a demand share of exactly 1.0, and therefore reproduces
+its single-kernel surface bit for bit. The batch path
+(:meth:`CoScheduleModel.pair_surface`) has no interval arithmetic of
+its own: it reads solo surfaces from
+:meth:`~repro.gpu.interval_batch.BatchIntervalModel.simulate_grid` and
+evaluates each contended round with
+:func:`~repro.gpu.interval_batch.interval_terms`, and is pinned
+bit-exact against the per-point loop
+(:meth:`CoScheduleModel.pair_surface_scalar`).
 
 On top of the times, the model prices the pair: activity factors sum
 both kernels' busy intervals over the pair makespan, board power comes
@@ -62,9 +65,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpu.caches import CacheModel
 from repro.gpu.config import HardwareConfig, Microarchitecture
 from repro.gpu.dispatch import plan_dispatch
+from repro.gpu.interval_batch import (
+    BatchIntervalModel,
+    grid_axes,
+    interval_terms,
+)
 from repro.gpu.interval_model import (
     ATOMIC_CONCURRENCY_SLOPE,
     ATOMIC_SERIAL_CYCLES,
@@ -73,7 +80,7 @@ from repro.gpu.interval_model import (
     NON_OVERLAP_FRACTION,
     REQUEST_BYTES,
 )
-from repro.gpu.memory import MAX_QUEUE_STRETCH, MemoryModel
+from repro.gpu.memory import MAX_QUEUE_STRETCH
 from repro.gpu.occupancy import compute_occupancy
 from repro.kernels.kernel import Kernel
 from repro.power.model import DEFAULT_POWER_MODEL, PowerModel
@@ -82,9 +89,9 @@ from repro.units import ns_to_seconds, us_to_seconds
 
 #: Contention fixed-point iterations. Fixed (never adaptive): the batch
 #: and scalar paths must execute the identical operation sequence to
-#: stay bit-exact, and the fair-share reclaim contraction sits within
-#: ~1e-6 of its limit by 64 rounds on every catalog pair (the damped
-#: share alternation contracts at roughly 0.75 per round).
+#: stay bit-exact. Most pairs settle well before 64 rounds, but some
+#: settle into a damped two-cycle that is still moving at round 64
+#: (DESIGN.md, "Known limitation: unconverged shares").
 FIXED_POINT_ITERATIONS = 64
 
 #: Default CU split: half the device each (rounded, both sides >= 1).
@@ -241,6 +248,29 @@ class _Side:
     efficiency: List[float] = field(default_factory=list)
     dram_fraction: List[float] = field(default_factory=list)
 
+    def interval_state(self) -> Dict[str, object]:
+        """This side as :func:`interval_terms` keyword arguments: the
+        kernel's scalars plus ``(n_cu, 1, 1)`` CU-axis arrays."""
+        n_cu = len(self.active)
+        geometry = self.kernel.geometry
+
+        def cu_axis(values, dtype=np.float64) -> np.ndarray:
+            return np.asarray(values, dtype=dtype).reshape(n_cu, 1, 1)
+
+        return {
+            "ch": self.kernel.characteristics,
+            "items": float(geometry.global_size),
+            "total_waves": float(geometry.total_waves),
+            "num_workgroups": geometry.num_workgroups,
+            "waves_per_cu": self.waves_per_cu,
+            "active_cus": cu_axis(self.active, np.int64),
+            "quantisation": cu_axis(self.quantisation),
+            "resident_total": cu_axis(self.resident_total, np.int64),
+            "l1_hit_rate": self.l1_hit,
+            "dram_fraction": cu_axis(self.dram_fraction),
+            "efficiency": cu_axis(self.efficiency),
+        }
+
 
 class CoScheduleModel:
     """Pair-contention timing/power model over one microarchitecture.
@@ -267,8 +297,7 @@ class CoScheduleModel:
         self._power = power_model or DEFAULT_POWER_MODEL
         self._share = share
         self._iterations = iterations
-        self._cache_models: Dict[Microarchitecture, CacheModel] = {}
-        self._memory_models: Dict[Microarchitecture, MemoryModel] = {}
+        self._engine = BatchIntervalModel()
 
     @property
     def power_model(self) -> PowerModel:
@@ -455,73 +484,58 @@ class CoScheduleModel:
     ) -> PairSurface:
         """The pair surface over all of *space* as one broadcast.
 
-        Mirrors :meth:`evaluate` operation by operation — the CU-axis
-        state is hoisted through the identical scalar helpers and the
-        clock-axis arithmetic repeats the scalar expressions with NumPy
-        broadcasting — so every element is bit-identical to
+        Solo times come from :meth:`BatchIntervalModel.simulate_grid`
+        (an idle partner's surface *is* the solo grid); each contended
+        round evaluates :func:`~repro.gpu.interval_batch.interval_terms`
+        on the pair's hoisted state and demand shares. The CU-axis state
+        is hoisted through the same scalar helpers as :meth:`evaluate`,
+        so every element is bit-identical to
         :meth:`pair_surface_scalar`.
         """
-        uarch = space.uarch
-        n_cu, n_eng, n_mem = space.shape
         shape = space.shape
-        engine_hz = np.asarray(space.engine_mhz, dtype=np.float64) * 1e6
-        engine_hz = engine_hz.reshape(1, n_eng, 1)
-        memory_hz = np.asarray(space.memory_mhz, dtype=np.float64) * 1e6
-        memory_hz = memory_hz.reshape(1, 1, n_mem)
-        cu_full = np.asarray(
-            space.cu_counts, dtype=np.int64
-        ).reshape(n_cu, 1, 1)
+        solo_a = self._engine.simulate_grid(kernel_a, space)
 
-        side_a, side_b = self._hoist(
-            kernel_a, kernel_b, space.cu_counts, uarch
-        )
-        solo_side_a, _ = self._hoist(
-            kernel_a, None, space.cu_counts, uarch
-        )
-        solo_a = self._grid_terms(
-            solo_side_a, cu_full, engine_hz, memory_hz, uarch, 1.0
-        )[0]
-        solo_a = _full(solo_a, shape)
-
-        if side_b is None:
-            time_a, busy_a, dram_s_a, _ = self._grid_terms(
-                side_a, cu_full, engine_hz, memory_hz, uarch, 1.0
-            )
+        if kernel_b is None:
+            time_a = solo_a.time_s
+            busy_a, dram_s_a = _busy_and_dram(solo_a.breakdown)
             share_a = np.ones(shape)
             time_b = busy_b = dram_s_b = 0.0
-            share_b = solo_b = None
+            share_b = solo_time_b = None
+            cu_a = np.asarray(space.cu_counts, dtype=np.int64)
+            cu_b = None
         else:
-            solo_side_b, _ = self._hoist(
-                kernel_b, None, space.cu_counts, uarch
+            solo_time_b = self._engine.simulate_grid(kernel_b, space).time_s
+            side_a, side_b = self._hoist(
+                kernel_a, kernel_b, space.cu_counts, space.uarch
             )
-            solo_b = self._grid_terms(
-                solo_side_b, cu_full, engine_hz, memory_hz, uarch, 1.0
-            )[0]
-            solo_b = _full(solo_b, shape)
+            axes = grid_axes(space)
+            state_a = side_a.interval_state()
+            state_b = side_b.interval_state()
+
+            def contended(state, share):
+                return interval_terms(
+                    uarch=space.uarch, share=share, **state, **axes
+                )
+
             share_a = 1.0
             share_b = 1.0
             for _ in range(self._iterations):
-                time_a, _, dram_s_a, _ = self._grid_terms(
-                    side_a, cu_full, engine_hz, memory_hz, uarch, share_a
-                )
-                time_b, _, dram_s_b, _ = self._grid_terms(
-                    side_b, cu_full, engine_hz, memory_hz, uarch, share_b
-                )
-                util_a = share_a * dram_s_a / time_a
-                util_b = share_b * dram_s_b / time_b
+                terms_a = contended(state_a, share_a)
+                terms_b = contended(state_b, share_b)
+                util_a = share_a * terms_a.dram_s / terms_a.time_s
+                util_b = share_b * terms_b.dram_s / terms_b.time_s
                 share_a = 0.5 + np.maximum(0.0, 0.5 - util_b)
                 share_b = 0.5 + np.maximum(0.0, 0.5 - util_a)
-            time_a, busy_a, dram_s_a, _ = self._grid_terms(
-                side_a, cu_full, engine_hz, memory_hz, uarch, share_a
-            )
-            time_b, busy_b, dram_s_b, _ = self._grid_terms(
-                side_b, cu_full, engine_hz, memory_hz, uarch, share_b
-            )
-            share_a = _full(share_a, shape)
+            terms_a = contended(state_a, share_a)
+            terms_b = contended(state_b, share_b)
+            time_a = _full(terms_a.time_s, shape)
+            time_b = _full(terms_b.time_s, shape)
+            busy_a, dram_s_a = _busy_and_dram(terms_a)
+            busy_b, dram_s_b = _busy_and_dram(terms_b)
             share_b = _full(share_b, shape)
-            time_b = _full(time_b, shape)
+            cu_a = np.asarray(side_a.alloc, dtype=np.int64)
+            cu_b = np.asarray(side_b.alloc, dtype=np.int64)
 
-        time_a = _full(time_a, shape)
         makespan = np.maximum(time_a, time_b)
         compute_activity = np.minimum(
             1.0, (busy_a + busy_b) / makespan
@@ -538,31 +552,23 @@ class CoScheduleModel:
 
         return PairSurface(
             kernel_a=kernel_a.full_name,
-            kernel_b=(
-                kernel_b.full_name if side_b is not None else None
-            ),
+            kernel_b=kernel_b.full_name if kernel_b is not None else None,
             space=space,
-            cu_a=np.asarray(side_a.alloc, dtype=np.int64),
-            cu_b=(
-                np.asarray(side_b.alloc, dtype=np.int64)
-                if side_b is not None
-                else None
-            ),
+            cu_a=cu_a,
+            cu_b=cu_b,
             time_a=time_a,
-            time_b=_full(time_b, shape) if side_b is not None else None,
-            solo_time_a=solo_a,
-            solo_time_b=solo_b,
+            time_b=time_b if kernel_b is not None else None,
+            solo_time_a=solo_a.time_s,
+            solo_time_b=solo_time_b,
             demand_share_a=_full(share_a, shape),
-            demand_share_b=(
-                share_b if side_b is not None else None
-            ),
+            demand_share_b=share_b,
             makespan_s=_full(makespan, shape),
             power_w=power_w,
             energy_j=_full(energy_j, shape),
             global_size_a=kernel_a.geometry.global_size,
             global_size_b=(
                 kernel_b.geometry.global_size
-                if side_b is not None
+                if kernel_b is not None
                 else None
             ),
         )
@@ -570,26 +576,6 @@ class CoScheduleModel:
     # ------------------------------------------------------------------
     # Hoisted state
     # ------------------------------------------------------------------
-
-    def _cache_model(self, uarch: Microarchitecture) -> CacheModel:
-        if uarch not in self._cache_models:
-            self._cache_models[uarch] = CacheModel(uarch)
-        return self._cache_models[uarch]
-
-    def _memory_model(self, uarch: Microarchitecture) -> MemoryModel:
-        # bandwidth_efficiency reads no clock/CU field, so a placeholder
-        # config serves every configuration on this uarch (the same
-        # trick the batch interval engine uses).
-        if uarch not in self._memory_models:
-            self._memory_models[uarch] = MemoryModel(
-                HardwareConfig(
-                    cu_count=1,
-                    engine_mhz=1.0,
-                    memory_mhz=1.0,
-                    uarch=uarch,
-                )
-            )
-        return self._memory_models[uarch]
 
     def _hoist(
         self,
@@ -604,8 +590,7 @@ class CoScheduleModel:
         footprints, the libm power law of the bandwidth efficiency), so
         the scalar and batch paths consume identical Python floats.
         """
-        cache_model = self._cache_model(uarch)
-        memory_model = self._memory_model(uarch)
+        state = self._engine._state(uarch)
         side_a = self._kernel_side(kernel_a, uarch)
         side_b = (
             self._kernel_side(kernel_b, uarch)
@@ -637,7 +622,7 @@ class CoScheduleModel:
             for plan in plans:
                 combined_active += plan.active_cus
             footprints = [
-                cache_model.concurrent_footprint_bytes(
+                state.cache_model.concurrent_footprint_bytes(
                     side.kernel, plan.active_cus, side.workgroups_per_cu
                 )
                 for side, plan in zip(sides, plans)
@@ -667,7 +652,7 @@ class CoScheduleModel:
                     plan.resident_workgroups_total
                 )
                 side.efficiency.append(
-                    memory_model.bandwidth_efficiency(
+                    state.memory_model.bandwidth_efficiency(
                         ch.coalescing_efficiency,
                         ch.row_locality_sensitivity,
                         combined_active,
@@ -691,7 +676,7 @@ class CoScheduleModel:
         )
 
     # ------------------------------------------------------------------
-    # Interval terms (scalar and vectorized twins — keep in lockstep)
+    # Interval terms (scalar reference for interval_terms)
     # ------------------------------------------------------------------
 
     def _point_terms(
@@ -833,177 +818,10 @@ class CoScheduleModel:
         busy_s = (compute_s + salu_s) + lds_s
         return time_s, busy_s, dram_s, dram_bytes
 
-    def _grid_terms(
-        self,
-        side: _Side,
-        cu_full: np.ndarray,
-        engine_hz: np.ndarray,
-        memory_hz: np.ndarray,
-        uarch: Microarchitecture,
-        share,
-    ):
-        """Vectorized twin of :meth:`_point_terms` over the lattice.
 
-        Returns ``(time_s, compute_busy_s, dram_s, dram_bytes)`` as
-        broadcastable arrays. Operation order matches the scalar twin
-        exactly; scalar guards become exact-zero products or masked
-        ``np.where`` branches.
-        """
-        kernel = side.kernel
-        ch = kernel.characteristics
-        geometry = kernel.geometry
-        n_cu = len(side.active)
-        active = np.asarray(
-            side.active, dtype=np.int64
-        ).reshape(n_cu, 1, 1)
-        quantisation = np.asarray(
-            side.quantisation
-        ).reshape(n_cu, 1, 1)
-        resident_total = np.asarray(
-            side.resident_total, dtype=np.int64
-        ).reshape(n_cu, 1, 1)
-        efficiency = np.asarray(
-            side.efficiency
-        ).reshape(n_cu, 1, 1)
-        dram_fraction = np.asarray(
-            side.dram_fraction
-        ).reshape(n_cu, 1, 1)
-        items = float(geometry.global_size)
-        total_waves = float(geometry.total_waves)
-
-        lane_ops = items * ch.valu_ops_per_item / ch.simd_efficiency
-        issue_factor = min(1.0, side.waves_per_cu / FULL_ISSUE_WAVES)
-        throughput = (
-            active * uarch.lanes_per_cu * engine_hz * issue_factor
-        )
-        compute_s = lane_ops / throughput
-
-        salu_s = (
-            total_waves * ch.salu_ops_per_item / (active * engine_hz)
-        )
-
-        # A zero-LDS kernel divides an exact 0.0 numerator — same value
-        # the scalar division produces.
-        lds_bytes = items * ch.lds_bytes_per_item
-        per_device = cu_full * 128 * engine_hz
-        active_share = per_device * active / cu_full
-        lds_s = lds_bytes / active_share
-
-        issued_bytes = items * ch.global_bytes_per_item
-        l2_bytes = issued_bytes * (1.0 - side.l1_hit)
-        dram_bytes = issued_bytes * dram_fraction
-        peak_l2 = uarch.l2_banks * 64 * engine_hz
-        l2_s = l2_bytes / peak_l2
-
-        bytes_per_cycle = (
-            uarch.memory_bus_bits / 8 * uarch.memory_data_rate
-        )
-        peak_dram = (
-            bytes_per_cycle * memory_hz
-            * (1.0 - uarch.host_bandwidth_fraction)
-        )
-        achieved_bw = peak_dram * efficiency
-        available_bw = achieved_bw * share
-        concurrency = active * side.waves_per_cu * ch.memory_parallelism
-        l2_time = uarch.l2_latency_cycles / engine_hz
-        dram_time = uarch.dram_latency_cycles / memory_hz
-        fixed_time = ns_to_seconds(uarch.dram_fixed_latency_ns)
-        unloaded_latency = l2_time + dram_time + fixed_time
-        little_bw = concurrency * REQUEST_BYTES / unloaded_latency
-        effective_bw = np.minimum(available_bw, little_bw)
-        dram_positive = dram_bytes > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dram_s = np.where(
-                dram_positive, dram_bytes / effective_bw, 0.0
-            )
-
-        memory_side = dram_time + fixed_time
-        if ch.dependent_access_fraction == 0.0:
-            latency_s = np.float64(0.0)
-        else:
-            requests = (l2_bytes + 0.0) / REQUEST_BYTES
-            dependent = requests * ch.dependent_access_fraction
-            if l2_bytes == 0:
-                miss_fraction = np.float64(0.0)
-            else:
-                miss_fraction = dram_bytes / l2_bytes
-            chain_concurrency = np.maximum(
-                1.0, active * side.waves_per_cu
-            )
-            l2_latency = uarch.l2_latency_cycles / engine_hz
-
-            def exposed(dram_latency):
-                mean_latency = (
-                    miss_fraction * dram_latency
-                    + (1.0 - miss_fraction) * l2_latency
-                )
-                return dependent * mean_latency / chain_concurrency
-
-            latency_s = exposed(l2_time + memory_side / (1.0 - 0.0))
-            first_pass_max = _chain_max(
-                compute_s, salu_s, lds_s, l2_s, dram_s, latency_s
-            )
-            refine = (first_pass_max > 0.0) & dram_positive
-            if np.any(refine):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    utilisation = np.minimum(
-                        1.0,
-                        (dram_bytes / available_bw) / first_pass_max,
-                    )
-                utilisation = np.where(refine, utilisation, 0.0)
-                bounded = np.minimum(
-                    utilisation, 1.0 - 1.0 / MAX_QUEUE_STRETCH
-                )
-                loaded = l2_time + memory_side / (1.0 - bounded)
-                latency_s = np.where(
-                    refine, exposed(loaded), latency_s
-                )
-
-        if ch.atomic_ops_per_item == 0.0 or ch.atomic_contention == 0.0:
-            atomic_s = np.float64(0.0)
-        else:
-            serialised = (
-                items * ch.atomic_ops_per_item * ch.atomic_contention
-            )
-            concurrency_growth = 1.0 + ATOMIC_CONCURRENCY_SLOPE * (
-                ch.atomic_contention * (active - 1) / 43.0
-            )
-            cycles = (
-                serialised * ATOMIC_SERIAL_CYCLES * concurrency_growth
-            )
-            atomic_s = cycles / engine_hz
-
-        barrier_s = (
-            geometry.num_workgroups
-            * ch.barriers_per_workgroup
-            * BARRIER_CYCLES
-            / engine_hz
-            / resident_total
-        )
-        launch_s = us_to_seconds(ch.launch_overhead_us)
-
-        local_peak = _chain_max(compute_s, salu_s, lds_s, latency_s)
-        shared_peak = np.maximum(l2_s, dram_s)
-        dominant = np.maximum(local_peak * quantisation, shared_peak)
-        overlap_sum = (
-            ((((compute_s + salu_s) + lds_s) + l2_s) + dram_s)
-            + latency_s
-        )
-        overlap_max = np.maximum(local_peak, shared_peak)
-        spill = NON_OVERLAP_FRACTION * (overlap_sum - overlap_max)
-        parallel_s = dominant + spill
-        time_s = parallel_s + atomic_s + barrier_s + launch_s
-
-        busy_s = (compute_s + salu_s) + lds_s
-        return time_s, busy_s, dram_s, dram_bytes
-
-
-def _chain_max(first, *rest):
-    """Elementwise maximum of several broadcastable arrays."""
-    result = first
-    for term in rest:
-        result = np.maximum(result, term)
-    return result
+def _busy_and_dram(terms) -> Tuple[np.ndarray, np.ndarray]:
+    """Compute-busy time and DRAM time from a set of interval terms."""
+    return (terms.compute_s + terms.salu_s) + terms.lds_s, terms.dram_s
 
 
 def _full(value, shape) -> np.ndarray:

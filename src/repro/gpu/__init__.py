@@ -74,9 +74,7 @@ from repro.gpu.products import (
     product,
 )
 from repro.gpu.simulator import (
-    Engine,
     GpuSimulator,
-    GridMode,
     engine_call_count,
     reset_engine_call_count,
     simulate,
@@ -96,7 +94,6 @@ __all__ = [
     "DispatchPlan",
     "EMBEDDED",
     "ENGINE_DOMAIN",
-    "Engine",
     "EngineCapabilities",
     "EngineDescriptor",
     "EngineRegistration",
@@ -105,7 +102,6 @@ __all__ = [
     "FrequencyDomain",
     "GpuSimulator",
     "GridBreakdown",
-    "GridMode",
     "GridSpace",
     "TimingEngine",
     "HAWAII_UARCH",

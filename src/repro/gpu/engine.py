@@ -19,11 +19,9 @@ seconds. This module defines the one seam they all plug into:
   registration; the facade, sweep runners, cache, campaign, and CLI
   pick it up by name with zero further changes.
 
-The legacy :class:`Engine` and :class:`GridMode` enums survive as
-deprecated aliases whose values *are* registry names / mode names;
-:func:`normalize_engine` and :func:`normalize_grid_mode` collapse
-either spelling to the canonical string, which is the only currency
-the rest of the stack speaks.
+Engines and grid modes are named by plain strings (registry names,
+``batch``/``scalar``/``study``); :func:`normalize_engine` also accepts
+an engine object and :func:`normalize_grid_mode` validates the mode.
 
 :class:`GridSpace` is the structural contract of the sweep layer's
 ``ConfigurationSpace`` — the exact attribute surface grid-capable
@@ -36,7 +34,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -199,43 +196,12 @@ class TimingEngine(Protocol):
         ...
 
 
-# ----------------------------------------------------------------------
-# Deprecated enum aliases
-# ----------------------------------------------------------------------
+#: Anything that names an engine: a registry name or an object
+#: carrying a ``descriptor()``.
+EngineSpec = Union[str, TimingEngine]
 
-
-class Engine(Enum):
-    """Deprecated alias: legacy engine selector.
-
-    Values are registry names; use ``engine="interval"`` (or any name
-    from :func:`list_engines`) instead. Kept so pre-registry call
-    sites keep working unchanged.
-    """
-
-    INTERVAL = "interval"
-    EVENT = "event"
-
-
-class GridMode(Enum):
-    """Deprecated alias: legacy grid-evaluation selector.
-
-    Values are mode names (``"batch"``, ``"scalar"``, ``"study"``);
-    pass the strings directly. ``scalar`` forces the point-loop
-    oracle, ``study`` requests whole-study kernel-axis batching.
-    """
-
-    BATCH = "batch"
-    SCALAR = "scalar"
-    STUDY = "study"
-
-
-#: Anything that names an engine: a registry name, a legacy enum
-#: member, or an object carrying a ``descriptor()``.
-EngineSpec = Union[str, Engine, TimingEngine]
-
-#: Anything that names a grid-evaluation mode.
-GridModeSpec = Union[str, GridMode]
-
+#: Grid-evaluation modes: ``scalar`` forces the point-loop oracle,
+#: ``study`` requests whole-study kernel-axis batching.
 GRID_MODES = ("batch", "scalar", "study")
 
 
@@ -243,17 +209,15 @@ def normalize_engine(spec: EngineSpec) -> str:
     """Collapse an engine spelling to its canonical registry name."""
     if isinstance(spec, str):
         return spec
-    if isinstance(spec, Enum):
-        return str(spec.value)
     descriptor = getattr(spec, "descriptor", None)
     if callable(descriptor):
         return descriptor().name
     raise ConfigurationError(f"cannot interpret {spec!r} as an engine")
 
 
-def normalize_grid_mode(spec: GridModeSpec) -> str:
-    """Collapse a grid-mode spelling to its canonical mode name."""
-    mode = str(spec.value) if isinstance(spec, Enum) else str(spec)
+def normalize_grid_mode(spec: str) -> str:
+    """Validate a grid-mode name and return it as a string."""
+    mode = str(spec)
     if mode not in GRID_MODES:
         raise ConfigurationError(
             f"unknown grid mode {mode!r}; valid: {GRID_MODES}"

@@ -19,16 +19,24 @@ configurations. This module exploits the structure of the model:
   broadcast over the ``(n_cu, n_eng, n_mem)`` grid as a handful of
   NumPy array operations.
 
-The arithmetic deliberately mirrors the scalar model operation by
-operation (same association order, same guards) so that the two paths
-agree to within ``rtol=1e-12`` on every grid point; the scalar path
-remains the reference oracle (``tests/gpu/test_interval_batch.py``).
+Those expressions live in one place, :func:`interval_terms`, the only
+vectorized form of the model. :meth:`BatchIntervalModel.simulate_grid`
+(one kernel), :meth:`BatchIntervalModel.simulate_study` (a whole
+kernel pack) and :meth:`repro.coschedule.CoScheduleModel.pair_surface`
+(contended DRAM shares) differ only in the hoisted state they pass in.
+It is checked against two scalar references that keep the model's
+per-point form: :class:`~repro.gpu.interval_model.IntervalModel`
+(``tests/gpu/test_interval_batch.py``, ``test_study_engine.py``) and
+the co-schedule model's ``_point_terms``
+(``tests/coschedule/test_model.py``). Its arithmetic keeps the scalar
+operation order, so the paths agree bit for bit in practice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from types import SimpleNamespace
+from typing import Dict, NamedTuple
 
 import numpy as np
 
@@ -56,7 +64,7 @@ from repro.gpu.occupancy import (
     compute_occupancy_batch,
 )
 from repro.kernels.kernel import Kernel
-from repro.kernels.pack import KernelPack
+from repro.kernels.pack import CHARACTERISTIC_FIELDS, KernelPack
 from repro.units import ns_to_seconds, us_to_seconds
 
 #: Names of the overlappable intervals, in the scalar model's
@@ -107,6 +115,24 @@ class GridBreakdown:
         )
         winners = np.argmax(stacked, axis=0)
         return np.asarray(OVERLAPPABLE_INTERVALS, dtype=object)[winners]
+
+
+class IntervalTerms(NamedTuple):
+    """:func:`interval_terms` output: the nine interval terms (in
+    :class:`GridBreakdown` field order), the total time and the DRAM
+    traffic, each in its natural broadcast shape (not materialised)."""
+
+    compute_s: np.ndarray
+    salu_s: np.ndarray
+    lds_s: np.ndarray
+    l2_s: np.ndarray
+    dram_s: np.ndarray
+    latency_s: np.ndarray
+    atomic_s: np.ndarray
+    barrier_s: np.ndarray
+    launch_s: np.ndarray
+    time_s: np.ndarray
+    dram_bytes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -187,18 +213,11 @@ class BatchIntervalModel:
         uarch = space.uarch
         ch = kernel.characteristics
         geometry = kernel.geometry
-        n_cu, n_eng, n_mem = space.shape
-        shape = (n_cu, n_eng, n_mem)
+        n_cu = len(space.cu_counts)
+        shape = space.shape
 
-        # Grid axes, shaped for broadcasting: CU quantities vary along
-        # axis 0, engine-clock quantities along axis 1, memory-clock
-        # quantities along axis 2.
-        cu_counts = np.asarray(space.cu_counts, dtype=np.int64)
-        cu_counts = cu_counts.reshape(n_cu, 1, 1)
-        engine_hz = np.asarray(space.engine_mhz, dtype=np.float64) * 1e6
-        engine_hz = engine_hz.reshape(1, n_eng, 1)
-        memory_hz = np.asarray(space.memory_mhz, dtype=np.float64) * 1e6
-        memory_hz = memory_hz.reshape(1, 1, n_mem)
+        def cu_axis(values, dtype=np.float64) -> np.ndarray:
+            return np.asarray(values, dtype=dtype).reshape(n_cu, 1, 1)
 
         # --- CU-axis hoist: 1 occupancy + n_cu dispatch/cache/DRAM
         # evaluations instead of one per configuration ----------------
@@ -206,198 +225,53 @@ class BatchIntervalModel:
         plans = [
             plan_dispatch(geometry, occupancy, cu) for cu in space.cu_counts
         ]
-        active_cus = np.asarray(
-            [p.active_cus for p in plans], dtype=np.int64
-        ).reshape(n_cu, 1, 1)
-        quantisation = np.asarray(
-            [p.quantisation_factor for p in plans]
-        ).reshape(n_cu, 1, 1)
-        resident_total = np.asarray(
-            [p.resident_workgroups_total for p in plans], dtype=np.int64
-        ).reshape(n_cu, 1, 1)
-
         state = self._state(uarch)
-        cache_model = state.cache_model
         behaviours = [
-            cache_model.behaviour(
+            state.cache_model.behaviour(
                 kernel, p.active_cus, occupancy.workgroups_per_cu
             )
             for p in plans
         ]
-        l1_hit_rate = behaviours[0].l1_hit_rate  # kernel-only property
-        l2_hit_rate = np.asarray([b.l2_hit_rate for b in behaviours])
-        dram_fraction = np.asarray(
-            [b.dram_fraction for b in behaviours]
-        ).reshape(n_cu, 1, 1)
-
         # bandwidth_efficiency only reads the kernel's access pattern
         # and the active-CU count, so the memoized per-uarch model works
         # for every configuration of this space.
-        memory = state.memory_model
-        efficiency = np.asarray(
-            [
-                memory.bandwidth_efficiency(
-                    ch.coalescing_efficiency,
-                    ch.row_locality_sensitivity,
-                    p.active_cus,
-                )
-                for p in plans
-            ]
-        ).reshape(n_cu, 1, 1)
-
-        items = float(geometry.global_size)
-        total_waves = float(geometry.total_waves)
-
-        # --- Throughput intervals -------------------------------------
-        lane_ops = items * ch.valu_ops_per_item / ch.simd_efficiency
-        issue_factor = min(1.0, occupancy.waves_per_cu / FULL_ISSUE_WAVES)
-        throughput = (
-            active_cus * uarch.lanes_per_cu * engine_hz * issue_factor
-        )
-        compute_s = lane_ops / throughput
-
-        salu_s = (
-            total_waves * ch.salu_ops_per_item / (active_cus * engine_hz)
-        )
-
-        lds_bytes = items * ch.lds_bytes_per_item
-        if lds_bytes == 0.0:
-            lds_s = np.float64(0.0)
-        else:
-            per_device = cu_counts * 128 * engine_hz
-            active_share = per_device * active_cus / cu_counts
-            lds_s = lds_bytes / active_share
-
-        issued_bytes = items * ch.global_bytes_per_item
-        l2_bytes = issued_bytes * (1.0 - l1_hit_rate)
-        dram_bytes = issued_bytes * dram_fraction
-        peak_l2 = uarch.l2_banks * 64 * engine_hz
-        l2_s = l2_bytes / peak_l2
-
-        # --- DRAM bandwidth, bounded by Little's law -------------------
-        bytes_per_cycle = (
-            uarch.memory_bus_bits / 8 * uarch.memory_data_rate
-        )
-        # Host contention comes off the top in the same operand order
-        # as HardwareConfig.peak_dram_bytes_per_sec (bit-compat).
-        peak_dram = (
-            bytes_per_cycle * memory_hz
-            * (1.0 - uarch.host_bandwidth_fraction)
-        )
-        achieved_bw = peak_dram * efficiency
-        concurrency = (
-            active_cus * occupancy.waves_per_cu * ch.memory_parallelism
-        )
-        l2_time = uarch.l2_latency_cycles / engine_hz
-        dram_time = uarch.dram_latency_cycles / memory_hz
-        fixed_time = ns_to_seconds(uarch.dram_fixed_latency_ns)
-        unloaded_latency = l2_time + dram_time + fixed_time
-        little_bw = concurrency * REQUEST_BYTES / unloaded_latency
-        effective_bw = np.minimum(achieved_bw, little_bw)
-        dram_positive = dram_bytes > 0.0
-        dram_s = np.where(dram_positive, dram_bytes / effective_bw, 0.0)
-
-        # --- Exposed dependence-chain latency (two-pass for loading) ---
-        # Queueing applies only to the memory-side latency terms; the
-        # engine-domain L2 pipeline is unaffected (see MemoryModel).
-        memory_side = dram_time + fixed_time
-        if ch.dependent_access_fraction == 0.0:
-            latency_s = np.float64(0.0)
-        else:
-            requests = (l2_bytes + 0.0) / REQUEST_BYTES
-            dependent = requests * ch.dependent_access_fraction
-            if l2_bytes == 0:
-                miss_fraction = np.float64(0.0)
-            else:
-                miss_fraction = dram_bytes / l2_bytes
-            chain_concurrency = np.maximum(
-                1.0, active_cus * occupancy.waves_per_cu
+        efficiency = [
+            state.memory_model.bandwidth_efficiency(
+                ch.coalescing_efficiency,
+                ch.row_locality_sensitivity,
+                p.active_cus,
             )
-            l2_latency = uarch.l2_latency_cycles / engine_hz
+            for p in plans
+        ]
 
-            def exposed(dram_latency):
-                mean_latency = (
-                    miss_fraction * dram_latency
-                    + (1.0 - miss_fraction) * l2_latency
-                )
-                return dependent * mean_latency / chain_concurrency
-
-            # Pass 1: unloaded queues (utilisation 0 -> no stretch).
-            latency_s = exposed(l2_time + memory_side / (1.0 - 0.0))
-
-            first_pass_max = _chain_max(
-                compute_s, salu_s, lds_s, l2_s, dram_s, latency_s
-            )
-            refine = (first_pass_max > 0.0) & dram_positive
-            if np.any(refine):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    utilisation = np.minimum(
-                        1.0, (dram_bytes / achieved_bw) / first_pass_max
-                    )
-                utilisation = np.where(refine, utilisation, 0.0)
-                bounded = np.minimum(
-                    utilisation, 1.0 - 1.0 / MAX_QUEUE_STRETCH
-                )
-                loaded = l2_time + memory_side / (1.0 - bounded)
-                latency_s = np.where(refine, exposed(loaded), latency_s)
-
-        # --- Serial additions ------------------------------------------
-        if ch.atomic_ops_per_item == 0.0 or ch.atomic_contention == 0.0:
-            atomic_s = np.float64(0.0)
-        else:
-            serialised = (
-                items * ch.atomic_ops_per_item * ch.atomic_contention
-            )
-            concurrency_growth = 1.0 + ATOMIC_CONCURRENCY_SLOPE * (
-                ch.atomic_contention * (active_cus - 1) / 43.0
-            )
-            cycles = serialised * ATOMIC_SERIAL_CYCLES * concurrency_growth
-            atomic_s = cycles / engine_hz
-
-        barrier_s = (
-            geometry.num_workgroups
-            * ch.barriers_per_workgroup
-            * BARRIER_CYCLES
-            / engine_hz
-            / resident_total
+        terms = interval_terms(
+            uarch=uarch,
+            ch=ch,
+            items=float(geometry.global_size),
+            total_waves=float(geometry.total_waves),
+            num_workgroups=geometry.num_workgroups,
+            waves_per_cu=occupancy.waves_per_cu,
+            active_cus=cu_axis([p.active_cus for p in plans], np.int64),
+            quantisation=cu_axis([p.quantisation_factor for p in plans]),
+            resident_total=cu_axis(
+                [p.resident_workgroups_total for p in plans], np.int64
+            ),
+            l1_hit_rate=behaviours[0].l1_hit_rate,  # kernel-only
+            dram_fraction=cu_axis([b.dram_fraction for b in behaviours]),
+            efficiency=cu_axis(efficiency),
+            **grid_axes(space),
         )
-        launch_s = us_to_seconds(ch.launch_overhead_us)
-
-        # --- Combination (quantised local peak vs shared peak) ---------
-        local_peak = _chain_max(compute_s, salu_s, lds_s, latency_s)
-        shared_peak = np.maximum(l2_s, dram_s)
-        dominant = np.maximum(local_peak * quantisation, shared_peak)
-        overlap_sum = (
-            ((((compute_s + salu_s) + lds_s) + l2_s) + dram_s) + latency_s
-        )
-        overlap_max = np.maximum(local_peak, shared_peak)
-        spill = NON_OVERLAP_FRACTION * (overlap_sum - overlap_max)
-        parallel_s = dominant + spill
-        time_s = parallel_s + atomic_s + barrier_s + launch_s
-
-        time_s = _materialise(time_s, shape)
-        items_per_second = geometry.global_size / time_s
-
-        breakdown = GridBreakdown(
-            compute_s=_materialise(compute_s, shape),
-            salu_s=_materialise(salu_s, shape),
-            lds_s=_materialise(lds_s, shape),
-            l2_s=_materialise(l2_s, shape),
-            dram_s=_materialise(dram_s, shape),
-            latency_s=_materialise(latency_s, shape),
-            atomic_s=_materialise(atomic_s, shape),
-            barrier_s=_materialise(barrier_s, shape),
-            launch_s=_materialise(launch_s, shape),
-        )
-
+        time_s = _materialise(terms.time_s, shape)
         return KernelGridResult(
             kernel_name=kernel.full_name,
             time_s=time_s,
-            items_per_second=items_per_second,
-            breakdown=breakdown,
+            items_per_second=geometry.global_size / time_s,
+            breakdown=GridBreakdown(
+                *(_materialise(term, shape) for term in terms[:9])
+            ),
             occupancy=occupancy,
-            l2_hit_rate=l2_hit_rate,
-            dram_bytes=dram_bytes.reshape(n_cu),
+            l2_hit_rate=np.asarray([b.l2_hit_rate for b in behaviours]),
+            dram_bytes=terms.dram_bytes.reshape(n_cu),
             global_size=geometry.global_size,
         )
 
@@ -409,16 +283,13 @@ class BatchIntervalModel:
         The kernel axis joins the broadcast: per-kernel quantities are
         ``(K, 1, 1, 1)`` columns, dispatch/cache/DRAM-efficiency state
         is a ``(K, C, 1, 1)`` matrix, and the clock terms keep their
-        ``(1, 1, E, 1)`` / ``(1, 1, 1, M)`` shapes — the whole
-        267-kernel x 891-configuration study collapses into one set of
-        ``(K, C, E, M)`` array expressions with no Python loop over
-        kernels or CUs.
-
-        The arithmetic repeats :meth:`simulate_grid` operation by
-        operation (scalar guards become exact zero products or masked
-        ``np.where`` branches), so slicing the result along the kernel
-        axis reproduces the per-kernel batch path, which itself matches
-        the scalar oracle (``tests/gpu/test_study_engine.py``).
+        grid shapes — the whole 267-kernel x 891-configuration study
+        collapses into one :func:`interval_terms` call with no Python
+        loop over kernels or CUs. Every expression is elementwise, so
+        slicing the result along the kernel axis reproduces
+        :meth:`simulate_grid` for that kernel bit for bit
+        (``tests/gpu/test_study_engine.py``). No breakdown is
+        materialised: only ``time_s`` grows to the full 4-D shape.
         """
         uarch = space.uarch
         n_cu, n_eng, n_mem = space.shape
@@ -429,189 +300,54 @@ class BatchIntervalModel:
             """A per-kernel vector as a (K, 1, 1, 1) broadcast column."""
             return values.reshape(n_kernels, 1, 1, 1)
 
-        cu_counts_1d = np.asarray(space.cu_counts, dtype=np.int64)
-        cu_counts = cu_counts_1d.reshape(1, n_cu, 1, 1)
-        engine_hz = np.asarray(space.engine_mhz, dtype=np.float64) * 1e6
-        engine_hz = engine_hz.reshape(1, 1, n_eng, 1)
-        memory_hz = np.asarray(space.memory_mhz, dtype=np.float64) * 1e6
-        memory_hz = memory_hz.reshape(1, 1, 1, n_mem)
+        def matrix(values: np.ndarray) -> np.ndarray:
+            """A (K, C) kernel x CU matrix as a (K, C, 1, 1) block."""
+            return values.reshape(n_kernels, n_cu, 1, 1)
 
-        # --- Kernel/CU-axis hoist, now vectorized over the pack -------
+        # --- Kernel/CU-axis hoist, vectorized over the pack -----------
         occupancy = compute_occupancy_batch(pack, uarch)
-        waves_per_cu = col(occupancy.waves_per_cu)
         dispatch = plan_dispatch_batch(
-            pack.num_workgroups, occupancy.workgroups_per_cu, cu_counts_1d
+            pack.num_workgroups,
+            occupancy.workgroups_per_cu,
+            np.asarray(space.cu_counts, dtype=np.int64),
         )
-        active_cus = dispatch.active_cus.reshape(n_kernels, n_cu, 1, 1)
-        quantisation = dispatch.quantisation_factor.reshape(
-            n_kernels, n_cu, 1, 1
-        )
-        resident_total = dispatch.resident_workgroups_total.reshape(
-            n_kernels, n_cu, 1, 1
-        )
-
         state = self._state(uarch)
         caches = state.cache_model.behaviour_batch(
             pack, dispatch.active_cus, occupancy.workgroups_per_cu
-        )
-        l1_hit_rate = col(caches.l1_hit_rate)
-        dram_fraction = caches.dram_fraction.reshape(
-            n_kernels, n_cu, 1, 1
         )
         efficiency = state.memory_model.bandwidth_efficiency_batch(
             pack.ch("coalescing_efficiency"),
             pack.ch("row_locality_sensitivity"),
             dispatch.active_cus,
-        ).reshape(n_kernels, n_cu, 1, 1)
-
-        items = col(
-            pack.geometry["global_size"].astype(np.float64)
         )
-        total_waves = col(pack.total_waves.astype(np.float64))
-
-        # --- Throughput intervals -------------------------------------
-        lane_ops = (
-            items * col(pack.ch("valu_ops_per_item"))
-            / col(pack.ch("simd_efficiency"))
-        )
-        issue_factor = np.minimum(
-            1.0, waves_per_cu / FULL_ISSUE_WAVES
-        )
-        throughput = (
-            active_cus * uarch.lanes_per_cu * engine_hz * issue_factor
-        )
-        compute_s = lane_ops / throughput
-
-        salu_s = (
-            total_waves * col(pack.ch("salu_ops_per_item"))
-            / (active_cus * engine_hz)
+        columns = SimpleNamespace(
+            global_bytes_per_item=col(pack.global_bytes_per_item),
+            **{name: col(pack.ch(name)) for name in CHARACTERISTIC_FIELDS},
         )
 
-        # A zero-LDS kernel divides an exact 0.0 numerator — same value
-        # the scalar guard returns, with no per-kernel branch.
-        lds_bytes = items * col(pack.ch("lds_bytes_per_item"))
-        per_device = cu_counts * 128 * engine_hz
-        active_share = per_device * active_cus / cu_counts
-        lds_s = lds_bytes / active_share
-
-        issued_bytes = items * col(pack.global_bytes_per_item)
-        l2_bytes = issued_bytes * (1.0 - l1_hit_rate)
-        dram_bytes = issued_bytes * dram_fraction
-        peak_l2 = uarch.l2_banks * 64 * engine_hz
-        l2_s = l2_bytes / peak_l2
-
-        # --- DRAM bandwidth, bounded by Little's law -------------------
-        bytes_per_cycle = (
-            uarch.memory_bus_bits / 8 * uarch.memory_data_rate
+        terms = interval_terms(
+            uarch=uarch,
+            ch=columns,
+            items=col(pack.geometry["global_size"].astype(np.float64)),
+            total_waves=col(pack.total_waves.astype(np.float64)),
+            num_workgroups=col(pack.num_workgroups),
+            waves_per_cu=col(occupancy.waves_per_cu),
+            active_cus=matrix(dispatch.active_cus),
+            quantisation=matrix(dispatch.quantisation_factor),
+            resident_total=matrix(dispatch.resident_workgroups_total),
+            l1_hit_rate=col(caches.l1_hit_rate),
+            dram_fraction=matrix(caches.dram_fraction),
+            efficiency=matrix(efficiency),
+            **grid_axes(space),
         )
-        # Host contention comes off the top in the same operand order
-        # as HardwareConfig.peak_dram_bytes_per_sec (bit-compat).
-        peak_dram = (
-            bytes_per_cycle * memory_hz
-            * (1.0 - uarch.host_bandwidth_fraction)
-        )
-        achieved_bw = peak_dram * efficiency
-        concurrency = (
-            active_cus * waves_per_cu
-            * col(pack.ch("memory_parallelism"))
-        )
-        l2_time = uarch.l2_latency_cycles / engine_hz
-        dram_time = uarch.dram_latency_cycles / memory_hz
-        fixed_time = ns_to_seconds(uarch.dram_fixed_latency_ns)
-        unloaded_latency = l2_time + dram_time + fixed_time
-        little_bw = concurrency * REQUEST_BYTES / unloaded_latency
-        effective_bw = np.minimum(achieved_bw, little_bw)
-        dram_positive = dram_bytes > 0.0
-        dram_s = np.where(dram_positive, dram_bytes / effective_bw, 0.0)
-
-        # --- Exposed dependence-chain latency (two-pass for loading) ---
-        # A zero dependent-access fraction zeroes ``dependent`` and with
-        # it every latency product, reproducing the scalar early-out.
-        memory_side = dram_time + fixed_time
-        requests = (l2_bytes + 0.0) / REQUEST_BYTES
-        dependent = requests * col(
-            pack.ch("dependent_access_fraction")
-        )
-        l2_bytes_positive = l2_bytes > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            miss_fraction = np.where(
-                l2_bytes_positive, dram_bytes / l2_bytes, 0.0
-            )
-        chain_concurrency = np.maximum(
-            1.0, active_cus * waves_per_cu
-        )
-        l2_latency = uarch.l2_latency_cycles / engine_hz
-
-        def exposed(dram_latency):
-            mean_latency = (
-                miss_fraction * dram_latency
-                + (1.0 - miss_fraction) * l2_latency
-            )
-            return dependent * mean_latency / chain_concurrency
-
-        # Pass 1: unloaded queues (utilisation 0 -> no stretch).
-        latency_s = exposed(l2_time + memory_side / (1.0 - 0.0))
-
-        first_pass_max = _chain_max(
-            compute_s, salu_s, lds_s, l2_s, dram_s, latency_s
-        )
-        refine = (first_pass_max > 0.0) & dram_positive
-        if np.any(refine):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                utilisation = np.minimum(
-                    1.0, (dram_bytes / achieved_bw) / first_pass_max
-                )
-            utilisation = np.where(refine, utilisation, 0.0)
-            bounded = np.minimum(
-                utilisation, 1.0 - 1.0 / MAX_QUEUE_STRETCH
-            )
-            loaded = l2_time + memory_side / (1.0 - bounded)
-            latency_s = np.where(refine, exposed(loaded), latency_s)
-
-        # --- Serial additions ------------------------------------------
-        # Zero atomic traffic or contention zeroes ``serialised`` and
-        # the whole term, matching the scalar guard exactly.
-        contention = col(pack.ch("atomic_contention"))
-        serialised = (
-            items * col(pack.ch("atomic_ops_per_item")) * contention
-        )
-        concurrency_growth = 1.0 + ATOMIC_CONCURRENCY_SLOPE * (
-            contention * (active_cus - 1) / 43.0
-        )
-        cycles = serialised * ATOMIC_SERIAL_CYCLES * concurrency_growth
-        atomic_s = cycles / engine_hz
-
-        barrier_s = (
-            col(pack.num_workgroups)
-            * col(pack.ch("barriers_per_workgroup"))
-            * BARRIER_CYCLES
-            / engine_hz
-            / resident_total
-        )
-        launch_s = us_to_seconds(col(pack.ch("launch_overhead_us")))
-
-        # --- Combination (quantised local peak vs shared peak) ---------
-        local_peak = _chain_max(compute_s, salu_s, lds_s, latency_s)
-        shared_peak = np.maximum(l2_s, dram_s)
-        dominant = np.maximum(local_peak * quantisation, shared_peak)
-        overlap_sum = (
-            ((((compute_s + salu_s) + lds_s) + l2_s) + dram_s) + latency_s
-        )
-        overlap_max = np.maximum(local_peak, shared_peak)
-        spill = NON_OVERLAP_FRACTION * (overlap_sum - overlap_max)
-        parallel_s = dominant + spill
-        time_s = parallel_s + atomic_s + barrier_s + launch_s
-
-        time_s = _materialise(time_s, shape)
-        items_per_second = col(pack.geometry["global_size"]) / time_s
-
+        time_s = _materialise(terms.time_s, shape)
         return StudyGridResult(
             kernel_names=pack.names,
             time_s=time_s,
-            items_per_second=items_per_second,
+            items_per_second=col(pack.geometry["global_size"]) / time_s,
             occupancy=occupancy,
             l2_hit_rate=caches.l2_hit_rate,
-            dram_bytes=dram_bytes.reshape(n_kernels, n_cu),
+            dram_bytes=terms.dram_bytes.reshape(n_kernels, n_cu),
             global_size=pack.geometry["global_size"].copy(),
         )
 
@@ -633,9 +369,6 @@ class BatchIntervalModel:
             )
         return self._uarch_states[uarch]
 
-    def _cache_model(self, uarch: Microarchitecture) -> CacheModel:
-        return self._state(uarch).cache_model
-
 
 @dataclass(frozen=True)
 class _UarchState:
@@ -648,6 +381,178 @@ class _UarchState:
 
     cache_model: CacheModel
     memory_model: MemoryModel
+
+
+def grid_axes(space: GridSpace) -> Dict[str, np.ndarray]:
+    """The device CU counts and both clocks (Hz) of *space*, shaped
+    ``(C, 1, 1)``, ``(E, 1)`` and ``(M,)`` so they broadcast against
+    both 3-D grid and 4-D study state (keyword arguments of
+    :func:`interval_terms`)."""
+    return {
+        "cu_counts": np.asarray(
+            space.cu_counts, dtype=np.int64
+        ).reshape(-1, 1, 1),
+        "engine_hz": (
+            np.asarray(space.engine_mhz, dtype=np.float64) * 1e6
+        ).reshape(-1, 1),
+        "memory_hz": np.asarray(space.memory_mhz, dtype=np.float64) * 1e6,
+    }
+
+
+def interval_terms(
+    *,
+    uarch: Microarchitecture,
+    ch,
+    items,
+    total_waves,
+    num_workgroups,
+    waves_per_cu,
+    active_cus,
+    quantisation,
+    resident_total,
+    l1_hit_rate,
+    dram_fraction,
+    efficiency,
+    cu_counts,
+    engine_hz,
+    memory_hz,
+    share=1.0,
+) -> IntervalTerms:
+    """The interval model over broadcastable hoisted state.
+
+    The one vectorized form of
+    :meth:`~repro.gpu.interval_model.IntervalModel.simulate`: every
+    argument is a scalar or an array that broadcasts against the others
+    (one kernel's ``(n_cu, 1, 1)`` CU-axis state for
+    :meth:`BatchIntervalModel.simulate_grid`, a pack's ``(K, C, 1, 1)``
+    state for :meth:`BatchIntervalModel.simulate_study`, a co-scheduled
+    kernel's contended state for
+    :meth:`~repro.coschedule.CoScheduleModel.pair_surface`). *ch*
+    exposes the characteristic values as attributes — a
+    :class:`~repro.kernels.characteristics.KernelCharacteristics` or
+    ``(K, 1, 1, 1)`` pack columns. *share* scales the achieved DRAM
+    bandwidth (a co-scheduled kernel's demand share; exactly 1.0 solo).
+
+    Each expression keeps the scalar model's floating-point operation
+    order. Its guards become exact-zero products (a zero numerator
+    yields the same 0.0 the scalar early-outs return) or masked
+    ``np.where`` branches, so no branch depends on which kernel a row
+    holds. The latency and atomic blocks are skipped only when their
+    inputs are zero everywhere, which is bit-identical to running them.
+    """
+    # --- Throughput intervals -----------------------------------------
+    lane_ops = items * ch.valu_ops_per_item / ch.simd_efficiency
+    issue_factor = np.minimum(1.0, waves_per_cu / FULL_ISSUE_WAVES)
+    throughput = active_cus * uarch.lanes_per_cu * engine_hz * issue_factor
+    compute_s = lane_ops / throughput
+
+    salu_s = total_waves * ch.salu_ops_per_item / (active_cus * engine_hz)
+
+    lds_bytes = items * ch.lds_bytes_per_item
+    per_device = cu_counts * 128 * engine_hz
+    active_share = per_device * active_cus / cu_counts
+    lds_s = lds_bytes / active_share
+
+    issued_bytes = items * ch.global_bytes_per_item
+    l2_bytes = issued_bytes * (1.0 - l1_hit_rate)
+    dram_bytes = issued_bytes * dram_fraction
+    peak_l2 = uarch.l2_banks * 64 * engine_hz
+    l2_s = l2_bytes / peak_l2
+
+    # --- DRAM bandwidth, bounded by Little's law -----------------------
+    bytes_per_cycle = uarch.memory_bus_bits / 8 * uarch.memory_data_rate
+    # Host contention comes off the top in the same operand order as
+    # HardwareConfig.peak_dram_bytes_per_sec (bit-compat).
+    peak_dram = (
+        bytes_per_cycle * memory_hz * (1.0 - uarch.host_bandwidth_fraction)
+    )
+    achieved_bw = peak_dram * efficiency
+    available_bw = achieved_bw * share
+    concurrency = active_cus * waves_per_cu * ch.memory_parallelism
+    l2_time = uarch.l2_latency_cycles / engine_hz
+    dram_time = uarch.dram_latency_cycles / memory_hz
+    fixed_time = ns_to_seconds(uarch.dram_fixed_latency_ns)
+    unloaded_latency = l2_time + dram_time + fixed_time
+    little_bw = concurrency * REQUEST_BYTES / unloaded_latency
+    effective_bw = np.minimum(available_bw, little_bw)
+    dram_positive = dram_bytes > 0.0
+    dram_s = np.where(dram_positive, dram_bytes / effective_bw, 0.0)
+
+    # --- Exposed dependence-chain latency (two-pass for loading) -------
+    # Queueing applies only to the memory-side latency terms; the
+    # engine-domain L2 pipeline is unaffected (see MemoryModel).
+    if not np.count_nonzero(ch.dependent_access_fraction):
+        latency_s = np.float64(0.0)
+    else:
+        memory_side = dram_time + fixed_time
+        requests = (l2_bytes + 0.0) / REQUEST_BYTES
+        dependent = requests * ch.dependent_access_fraction
+        with np.errstate(divide="ignore", invalid="ignore"):
+            miss_fraction = np.where(
+                l2_bytes > 0.0, dram_bytes / l2_bytes, 0.0
+            )
+        chain_concurrency = np.maximum(1.0, active_cus * waves_per_cu)
+
+        def exposed(dram_latency):
+            mean_latency = (
+                miss_fraction * dram_latency
+                + (1.0 - miss_fraction) * l2_time
+            )
+            return dependent * mean_latency / chain_concurrency
+
+        # Pass 1: unloaded queues (utilisation 0 -> no stretch).
+        latency_s = exposed(l2_time + memory_side / (1.0 - 0.0))
+
+        first_pass_max = _chain_max(
+            compute_s, salu_s, lds_s, l2_s, dram_s, latency_s
+        )
+        refine = (first_pass_max > 0.0) & dram_positive
+        if np.any(refine):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                utilisation = np.minimum(
+                    1.0, (dram_bytes / available_bw) / first_pass_max
+                )
+            utilisation = np.where(refine, utilisation, 0.0)
+            bounded = np.minimum(utilisation, 1.0 - 1.0 / MAX_QUEUE_STRETCH)
+            loaded = l2_time + memory_side / (1.0 - bounded)
+            latency_s = np.where(refine, exposed(loaded), latency_s)
+
+    # --- Serial additions ----------------------------------------------
+    serialised = items * ch.atomic_ops_per_item * ch.atomic_contention
+    if not np.count_nonzero(serialised):
+        atomic_s = np.float64(0.0)
+    else:
+        concurrency_growth = 1.0 + ATOMIC_CONCURRENCY_SLOPE * (
+            ch.atomic_contention * (active_cus - 1) / 43.0
+        )
+        cycles = serialised * ATOMIC_SERIAL_CYCLES * concurrency_growth
+        atomic_s = cycles / engine_hz
+
+    barrier_s = (
+        num_workgroups
+        * ch.barriers_per_workgroup
+        * BARRIER_CYCLES
+        / engine_hz
+        / resident_total
+    )
+    launch_s = us_to_seconds(ch.launch_overhead_us)
+
+    # --- Combination (quantised local peak vs shared peak) -------------
+    local_peak = _chain_max(compute_s, salu_s, lds_s, latency_s)
+    shared_peak = np.maximum(l2_s, dram_s)
+    dominant = np.maximum(local_peak * quantisation, shared_peak)
+    overlap_sum = (
+        ((((compute_s + salu_s) + lds_s) + l2_s) + dram_s) + latency_s
+    )
+    overlap_max = np.maximum(local_peak, shared_peak)
+    spill = NON_OVERLAP_FRACTION * (overlap_sum - overlap_max)
+    parallel_s = dominant + spill
+    time_s = parallel_s + atomic_s + barrier_s + launch_s
+
+    return IntervalTerms(
+        compute_s, salu_s, lds_s, l2_s, dram_s, latency_s, atomic_s,
+        barrier_s, launch_s, time_s, dram_bytes,
+    )
 
 
 def _chain_max(first, *rest):

@@ -28,12 +28,15 @@ A small non-overlap charge keeps mixed kernels ("balanced" in the
 taxonomy) sensitive to both clocks rather than snapping to a single
 pure bottleneck.
 
-This scalar form is the *reference oracle*: full sweeps go through the
-vectorized twin in ``interval_batch.py``, which mirrors this file's
-arithmetic operation by operation. When changing any expression here,
-make the matching change there (the equivalence tests in
-``tests/gpu/test_interval_batch.py`` and the axis-dependence table in
-DESIGN.md's "Engine architecture" section will catch drift).
+This scalar form is the *reference oracle*: grid, study and
+co-schedule surfaces all go through the one vectorized evaluator,
+:func:`repro.gpu.interval_batch.interval_terms`, which keeps this
+file's operation order. When changing any expression here, make the
+matching change there and in the co-schedule model's scalar
+``_point_terms`` (the equivalence tests in
+``tests/gpu/test_interval_batch.py`` and ``tests/coschedule/``, and
+the axis-dependence table in DESIGN.md's "Engine architecture"
+section, will catch drift).
 """
 
 from __future__ import annotations

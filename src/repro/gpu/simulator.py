@@ -12,10 +12,6 @@ are exactly the registry's: ``gpuscale engines`` lists them, and a new
 backend registered with :func:`repro.gpu.engine.register_engine`
 becomes available to every consumer of this facade without touching
 this module.
-
-The legacy :class:`Engine`/:class:`GridMode` enums are re-exported as
-deprecated aliases; their values are registry/mode names, and every
-parameter accepting them also accepts the plain string.
 """
 
 from __future__ import annotations
@@ -27,12 +23,9 @@ import numpy as np
 from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.gpu.config import HardwareConfig
 from repro.gpu.engine import (
-    Engine,
     EngineCapabilities,
     EngineDescriptor,
     EngineSpec,
-    GridMode,
-    GridModeSpec,
     GridSpace,
     engine_calls,
     engine_registration,
@@ -56,9 +49,7 @@ from repro.kernels.pack import KernelPack, memoized_pack
 SimulationResult = Union[KernelRunResult, EventSimResult]
 
 __all__ = [
-    "Engine",
     "GpuSimulator",
-    "GridMode",
     "SimulationResult",
     "engine_call_count",
     "reset_engine_call_count",
@@ -86,8 +77,8 @@ class GpuSimulator:
     """Simulate kernels on configurable GCN-class hardware.
 
     *engine* names any registered timing engine (``"interval"``,
-    ``"event"``, ``"predictor"``, ...) or is a legacy :class:`Engine`
-    member. Capability resolution happens once, here; no consumer
+    ``"event"``, ``"predictor"``, ...) or is an engine object.
+    Capability resolution happens once, here; no consumer
     above this facade branches on engine identity again.
     """
 
@@ -118,14 +109,6 @@ class GpuSimulator:
         self._point = resolve("point")
         self._grid = resolve("grid")
         self._study = resolve("study")
-
-    @property
-    def engine(self) -> Union[Engine, str]:
-        """The engine selection (legacy enum where one exists)."""
-        try:
-            return Engine(self._name)
-        except ValueError:
-            return self._name
 
     @property
     def engine_name(self) -> str:
@@ -183,7 +166,7 @@ class GpuSimulator:
         self,
         kernel: Kernel,
         space: GridSpace,
-        mode: GridModeSpec = "batch",
+        mode: str = "batch",
     ) -> KernelGridResult:
         """Run *kernel* at every configuration of *space* at once.
 

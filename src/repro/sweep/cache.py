@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import DatasetError, ReproError
-from repro.gpu.engine import EngineSpec, GridModeSpec, engine_fingerprint
+from repro.gpu.engine import EngineSpec, engine_fingerprint
 from repro.kernels.kernel import Kernel
 from repro.sweep.dataset import ScalingDataset
 from repro.sweep.runner import ProgressCallback, collect_paper_dataset
@@ -280,7 +280,7 @@ def cached_paper_dataset(
     engine: EngineSpec = "interval",
     space: ConfigurationSpace = PAPER_SPACE,
     progress: Optional[ProgressCallback] = None,
-    grid_mode: GridModeSpec = "batch",
+    grid_mode: str = "batch",
     strict: bool = True,
     cache: Optional[SweepCache] = None,
 ) -> ScalingDataset:

@@ -226,8 +226,8 @@ class CampaignRunner:
         built-in engines is byte-identical to the pre-registry enum
         values.
         """
-        engine = getattr(self._runner, "engine", "interval")
-        grid_mode = getattr(self._runner, "grid_mode", "batch")
+        engine = getattr(self._runner, "engine_name", "interval")
+        grid_mode = getattr(self._runner, "grid_mode_name", "batch")
         return fingerprint_blob(
             {
                 "kernels": list(names),

@@ -33,7 +33,6 @@ from repro.errors import SimulationError
 from repro.gpu.engine import (
     FAULTY_DESCRIPTOR,
     EngineDescriptor,
-    GridModeSpec,
 )
 from repro.gpu.simulator import GpuSimulator, SimulationResult
 from repro.kernels.kernel import Kernel
@@ -129,11 +128,6 @@ class FaultyEngine:
         self._calls = 0
         self._local_trips: Dict[int, int] = {}
 
-    @property
-    def engine(self):
-        """The wrapped simulator's engine."""
-        return self._simulator.engine
-
     def descriptor(self) -> EngineDescriptor:
         """Identity of the fault-injection wrapper itself.
 
@@ -153,7 +147,7 @@ class FaultyEngine:
         return self._simulator.simulate(kernel, config)
 
     def simulate_grid(
-        self, kernel: Kernel, space, mode: GridModeSpec = "batch"
+        self, kernel: Kernel, space, mode: str = "batch"
     ):
         """Simulate a grid, tripping any matching faults."""
         call_index = self._calls

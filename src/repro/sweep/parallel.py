@@ -54,10 +54,7 @@ from repro.shm import (
     write_rows,
 )
 from repro.gpu.engine import (
-    Engine,
     EngineSpec,
-    GridMode,
-    GridModeSpec,
     normalize_engine,
     normalize_grid_mode,
 )
@@ -153,7 +150,7 @@ class ParallelSweepRunner:
         self,
         engine: EngineSpec = "interval",
         workers: Optional[int] = None,
-        grid_mode: GridModeSpec = "batch",
+        grid_mode: str = "batch",
         *,
         chunk_timeout_s: float = DEFAULT_CHUNK_TIMEOUT_S,
         max_retries: int = DEFAULT_MAX_RETRIES,
@@ -177,22 +174,9 @@ class ParallelSweepRunner:
         return self._workers
 
     @property
-    def engine(self):
-        """The engine selection (legacy enum where one exists)."""
-        try:
-            return Engine(self._engine_name)
-        except ValueError:
-            return self._engine_name
-
-    @property
     def engine_name(self) -> str:
         """Registry name of the selected engine."""
         return self._engine_name
-
-    @property
-    def grid_mode(self):
-        """How workers evaluate a kernel's grid (legacy enum alias)."""
-        return GridMode(self._mode)
 
     @property
     def grid_mode_name(self) -> str:

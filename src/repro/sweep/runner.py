@@ -31,10 +31,7 @@ import numpy as np
 
 from repro.errors import DatasetError, SimulationError
 from repro.gpu.engine import (
-    Engine,
     EngineSpec,
-    GridMode,
-    GridModeSpec,
     normalize_engine,
     normalize_grid_mode,
 )
@@ -58,8 +55,8 @@ def check_kernel_list(kernels: Sequence[Kernel]) -> None:
 class SweepRunner:
     """Collect the scaling dataset for a set of kernels.
 
-    *engine* is any registered engine name (or legacy :class:`Engine`
-    member); *simulator*, when given, replaces the internally
+    *engine* is any registered engine name (or an engine object);
+    *simulator*, when given, replaces the internally
     constructed :class:`GpuSimulator` — any object with the same
     ``simulate_grid`` signature works, which is how the fault-injection
     test engine (:class:`~repro.sweep.faults.FaultyEngine`) slots in.
@@ -72,7 +69,7 @@ class SweepRunner:
     def __init__(
         self,
         engine: EngineSpec = "interval",
-        grid_mode: GridModeSpec = "batch",
+        grid_mode: str = "batch",
         simulator=None,
     ):
         self._engine_name = normalize_engine(engine)
@@ -89,22 +86,9 @@ class SweepRunner:
         return self._simulator
 
     @property
-    def engine(self):
-        """The engine selection (legacy enum where one exists)."""
-        try:
-            return Engine(self._engine_name)
-        except ValueError:
-            return self._engine_name
-
-    @property
     def engine_name(self) -> str:
         """Registry name of the selected engine."""
         return self._engine_name
-
-    @property
-    def grid_mode(self):
-        """How each kernel's grid is evaluated (legacy enum alias)."""
-        return GridMode(self._mode)
 
     @property
     def grid_mode_name(self) -> str:
@@ -246,7 +230,7 @@ def collect_paper_dataset(
     engine: EngineSpec = "interval",
     space: ConfigurationSpace = PAPER_SPACE,
     progress: Optional[ProgressCallback] = None,
-    grid_mode: GridModeSpec = "batch",
+    grid_mode: str = "batch",
     strict: bool = True,
 ) -> ScalingDataset:
     """Run the full study: all 267 catalog kernels over the 891 configs."""

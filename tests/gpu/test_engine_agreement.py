@@ -9,11 +9,11 @@ matches (rising, flat, or falling, with a tolerance band).
 
 import pytest
 
-from repro.gpu import Engine, GpuSimulator, HardwareConfig
+from repro.gpu import GpuSimulator, HardwareConfig
 from repro.kernels import ARCHETYPE_BUILDERS
 
-INTERVAL = GpuSimulator(Engine.INTERVAL)
-EVENT = GpuSimulator(Engine.EVENT)
+INTERVAL = GpuSimulator("interval")
+EVENT = GpuSimulator("event")
 
 #: Gains within [1/BAND, BAND] count as "flat" for direction purposes.
 BAND = 1.25

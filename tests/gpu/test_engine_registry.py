@@ -3,24 +3,20 @@
 The registry is the seam every consumer resolves engines through, so
 its contract is pinned directly: registration/duplicate/unregister
 semantics, capability-based family negotiation in the facade,
-descriptor-derived fingerprints, thread-safe call counters behind the
-legacy counter shims, and the deprecated ``Engine``/``GridMode`` alias
-enums.
+descriptor-derived fingerprints, and thread-safe call counters behind
+the legacy counter shims.
 """
 
 from __future__ import annotations
 
 import threading
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.gpu.engine import (
-    Engine,
     EngineCapabilities,
     EngineDescriptor,
-    GridMode,
     GridSpace,
     TimingEngine,
     engine_calls,
@@ -130,21 +126,16 @@ class TestRegistrySemantics:
     def test_registered_engine_reachable_via_facade(self, scratch_engine):
         sim = GpuSimulator(scratch_engine)
         assert sim.engine_name == scratch_engine
-        assert sim.engine == scratch_engine  # no legacy enum member
         assert sim.supports_point
 
 
 class TestNormalization:
     def test_normalize_engine_spellings(self):
         assert normalize_engine("interval") == "interval"
-        assert normalize_engine(Engine.INTERVAL) == "interval"
-        assert normalize_engine(Engine.EVENT) == "event"
         assert normalize_engine(_NullEngine()) == "null"
 
     def test_normalize_grid_mode_spellings(self):
         assert normalize_grid_mode("batch") == "batch"
-        assert normalize_grid_mode(GridMode.SCALAR) == "scalar"
-        assert normalize_grid_mode(GridMode.STUDY) == "study"
 
     def test_unknown_grid_mode_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown grid mode"):
@@ -255,27 +246,3 @@ class TestCallInstrumentation:
         assert engine_calls("interval") == 1
         assert engine_calls("event") == 0
         reset_engine_calls()
-
-
-class TestDeprecatedAliases:
-    def test_enum_values_are_registry_names(self):
-        assert Engine.INTERVAL.value == "interval"
-        assert Engine.EVENT.value == "event"
-        assert [m.value for m in GridMode] == ["batch", "scalar", "study"]
-
-    def test_enum_and_string_construction_equivalent(
-        self, archetype_kernels, flagship
-    ):
-        kernel = archetype_kernels[0]
-        via_enum = GpuSimulator(Engine.INTERVAL).simulate(kernel, flagship)
-        via_name = GpuSimulator("interval").simulate(kernel, flagship)
-        assert via_enum.time_s == via_name.time_s
-
-    def test_grid_mode_spellings_equivalent(
-        self, archetype_kernels, small_space
-    ):
-        kernel = archetype_kernels[0]
-        sim = GpuSimulator("interval")
-        via_enum = sim.simulate_grid(kernel, small_space, GridMode.SCALAR)
-        via_name = sim.simulate_grid(kernel, small_space, "scalar")
-        np.testing.assert_array_equal(via_enum.time_s, via_name.time_s)

@@ -10,7 +10,7 @@ architecture").
 import numpy as np
 import pytest
 
-from repro.gpu import GpuSimulator, GridMode, IntervalModel
+from repro.gpu import GpuSimulator, IntervalModel
 from repro.gpu.families import APU_SPACE
 from repro.gpu.interval_batch import BatchIntervalModel
 from repro.kernels import (
@@ -170,7 +170,7 @@ class TestGridResultContents:
         space = reduced_space(2, 2, 2)
         sim = GpuSimulator()
         batch = sim.simulate_grid(kernel, space)
-        scalar = sim.simulate_grid(kernel, space, mode=GridMode.SCALAR)
+        scalar = sim.simulate_grid(kernel, space, mode="scalar")
         np.testing.assert_allclose(
             batch.time_s, scalar.time_s, rtol=RTOL
         )

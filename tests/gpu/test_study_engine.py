@@ -1,6 +1,6 @@
 """Whole-study kernel-axis batching vs. the per-kernel oracles.
 
-``GridMode.STUDY`` evaluates the entire catalog in one
+Grid mode ``"study"`` evaluates the entire catalog in one
 ``(kernel, cu, eng, mem)`` broadcast. Its contract is strict: slicing
 the study tensor at any kernel must be *bitwise identical* to the
 per-kernel batch path, and within ``rtol=1e-12`` of the scalar
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.gpu import Engine, GpuSimulator, GridMode
+from repro.gpu import GpuSimulator
 from repro.gpu.families import APU_SPACE
 from repro.gpu.interval_batch import BatchIntervalModel
 import repro.gpu.interval_batch as interval_batch
@@ -81,7 +81,7 @@ class TestStudyVsScalarOracle:
         sim = GpuSimulator()
         for i, kernel in enumerate(kernels):
             scalar = sim.simulate_grid(
-                kernel, space, mode=GridMode.SCALAR
+                kernel, space, mode="scalar"
             )
             np.testing.assert_allclose(
                 study.time_s[i], scalar.time_s, rtol=RTOL
@@ -97,7 +97,7 @@ class TestStudyVsScalarOracle:
         kernel = ARCHETYPE_BUILDERS[kind](f"{kind}_probe", suite="probe")
         study = GpuSimulator().simulate_study([kernel], space)
         scalar = GpuSimulator().simulate_grid(
-            kernel, space, mode=GridMode.SCALAR
+            kernel, space, mode="scalar"
         )
         np.testing.assert_allclose(
             study.time_s[0], scalar.time_s, rtol=RTOL
@@ -170,7 +170,7 @@ class TestStudyResultContents:
 
     def test_event_engine_rejected(self):
         with pytest.raises(ConfigurationError):
-            GpuSimulator(Engine.EVENT).simulate_study(
+            GpuSimulator("event").simulate_study(
                 all_kernels("proxyapps"), reduced_space(4, 4, 4)
             )
 
@@ -179,8 +179,8 @@ class TestSweepRunnerStudyMode:
     def test_dataset_identical_to_batch_mode(self):
         kernels = all_kernels()
         space = reduced_space(2, 2, 2)
-        batch = SweepRunner(grid_mode=GridMode.BATCH).run(kernels, space)
-        study = SweepRunner(grid_mode=GridMode.STUDY).run(kernels, space)
+        batch = SweepRunner(grid_mode="batch").run(kernels, space)
+        study = SweepRunner(grid_mode="study").run(kernels, space)
         np.testing.assert_array_equal(batch.perf, study.perf)
         assert batch.kernel_names == study.kernel_names
         assert study.quarantined == {}
@@ -188,7 +188,7 @@ class TestSweepRunnerStudyMode:
     def test_progress_ticks_per_kernel_row(self):
         kernels = all_kernels("proxyapps")
         calls = []
-        SweepRunner(grid_mode=GridMode.STUDY).run(
+        SweepRunner(grid_mode="study").run(
             kernels, reduced_space(4, 4, 4),
             progress=lambda d, t: calls.append((d, t)),
         )
@@ -209,12 +209,12 @@ class TestSweepRunnerStudyMode:
                        message="study fallback boom")],
         )
         runner = SweepRunner(
-            grid_mode=GridMode.STUDY, simulator=faulty
+            grid_mode="study", simulator=faulty
         )
         dataset = runner.run(kernels, space, strict=False)
         assert dataset.quarantined == {target: "study fallback boom"}
         assert np.isnan(dataset.perf[3]).all()
-        clean = SweepRunner(grid_mode=GridMode.STUDY).run(kernels, space)
+        clean = SweepRunner(grid_mode="study").run(kernels, space)
         healthy = dataset.healthy()
         np.testing.assert_array_equal(
             healthy.perf, clean.subset(healthy.kernel_names).perf
@@ -229,7 +229,7 @@ class TestSweepRunnerStudyMode:
                        message="strict boom")],
         )
         runner = SweepRunner(
-            grid_mode=GridMode.STUDY, simulator=faulty
+            grid_mode="study", simulator=faulty
         )
         with pytest.raises(SimulationError) as excinfo:
             runner.run(kernels, reduced_space(4, 4, 4), strict=True)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.gpu import GpuSimulator, GridMode
+from repro.gpu import GpuSimulator
 from repro.gpu.engine import INTERVAL_BATCH_DESCRIPTOR
 from repro.gpu.families import APU_SPACE
 from repro.gpu.interval_batch import BatchIntervalModel
@@ -124,7 +124,7 @@ class TestBitExactVsBatch:
         sim = GpuSimulator()
         for i, kernel in enumerate(kernels):
             scalar = sim.simulate_grid(
-                kernel, space, mode=GridMode.SCALAR
+                kernel, space, mode="scalar"
             )
             np.testing.assert_allclose(
                 study.time_s[i], scalar.time_s, rtol=RTOL
@@ -245,11 +245,11 @@ class TestSweepRunnerStudyMT:
     def test_dataset_identical_to_default_study(self):
         kernels = all_kernels()
         space = reduced_space(2, 2, 2)
-        default = SweepRunner(grid_mode=GridMode.STUDY).run(
+        default = SweepRunner(grid_mode="study").run(
             kernels, space
         )
         tiled = SweepRunner(
-            "study-mt", grid_mode=GridMode.STUDY
+            "study-mt", grid_mode="study"
         ).run(kernels, space)
         np.testing.assert_array_equal(default.perf, tiled.perf)
         assert default.kernel_names == tiled.kernel_names
@@ -265,7 +265,7 @@ class TestSweepRunnerStudyMT:
                        message="study-mt fallback boom")],
         )
         runner = SweepRunner(
-            grid_mode=GridMode.STUDY, simulator=faulty
+            grid_mode="study", simulator=faulty
         )
         dataset = runner.run(kernels, space, strict=False)
         assert dataset.quarantined == {target: "study-mt fallback boom"}

@@ -287,10 +287,13 @@ async def _fire_and_drain(port, process, bodies, kill_worker_pid=None):
         await writer.drain()
         connections.append((reader, writer))
     await asyncio.sleep(0.2)  # let the server admit them
-    process.send_signal(signal.SIGTERM)
     if kill_worker_pid is not None:
-        await asyncio.sleep(0.05)
+        # Kill the worker right before SIGTERM, not after: once the
+        # drain starts, a worker whose queue is empty acks its drain
+        # frame and exits on its own, so a later kill could find no
+        # process. Either way the router meets the death mid-drain.
         os.kill(kill_worker_pid, signal.SIGKILL)
+    process.send_signal(signal.SIGTERM)
     responses = []
     for reader, writer in connections:
         responses.append(await read_response(reader))

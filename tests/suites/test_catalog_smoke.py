@@ -9,7 +9,7 @@ depends on.
 import math
 
 
-from repro.gpu import Engine, GpuSimulator, HardwareConfig
+from repro.gpu import GpuSimulator, HardwareConfig
 from repro.power import EnergyModel
 
 CORNERS = (
@@ -22,7 +22,7 @@ CORNERS = (
 
 class TestEveryKernelSimulates:
     def test_interval_engine_all_corners(self, catalog_kernels):
-        simulator = GpuSimulator(Engine.INTERVAL)
+        simulator = GpuSimulator("interval")
         for kernel in catalog_kernels:
             for config in CORNERS:
                 time_s = simulator.time_s(kernel, config)
@@ -32,7 +32,7 @@ class TestEveryKernelSimulates:
                 )
 
     def test_event_engine_sampled(self, catalog_kernels):
-        simulator = GpuSimulator(Engine.EVENT)
+        simulator = GpuSimulator("event")
         for kernel in catalog_kernels[::10]:
             time_s = simulator.time_s(kernel, CORNERS[1])
             assert math.isfinite(time_s) and time_s > 0, kernel.full_name
@@ -41,7 +41,7 @@ class TestEveryKernelSimulates:
         """Scaling can be non-monotone along single axes, but the full
         flagship must beat the smallest corner for every kernel (all
         three knobs at 5-11x cannot jointly lose)."""
-        simulator = GpuSimulator(Engine.INTERVAL)
+        simulator = GpuSimulator("interval")
         for kernel in catalog_kernels:
             small = simulator.time_s(kernel, CORNERS[0])
             large = simulator.time_s(kernel, CORNERS[1])

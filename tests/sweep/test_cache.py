@@ -13,10 +13,8 @@ import numpy as np
 import pytest
 
 from repro.errors import DatasetError
-from repro.gpu import Engine
 from repro.gpu.families import APU_SPACE
 from repro.gpu.simulator import (
-    GridMode,
     engine_call_count,
     reset_engine_call_count,
 )
@@ -78,8 +76,8 @@ class TestFingerprint:
 
     def test_sensitive_to_engine(self, kernels, space):
         assert sweep_fingerprint(
-            kernels, space, Engine.INTERVAL
-        ) != sweep_fingerprint(kernels, space, Engine.EVENT)
+            kernels, space, "interval"
+        ) != sweep_fingerprint(kernels, space, "event")
 
     def test_kernel_order_matters(self, kernels, space):
         reordered = list(reversed(kernels))
@@ -166,14 +164,14 @@ class TestCachedPaperDataset:
             "repro.suites.all_kernels", lambda: kernels
         )
         cached_paper_dataset(
-            space=space, cache=cache, grid_mode=GridMode.STUDY
+            space=space, cache=cache, grid_mode="study"
         )
         reset_engine_call_count()
         batch = cached_paper_dataset(
-            space=space, cache=cache, grid_mode=GridMode.BATCH
+            space=space, cache=cache, grid_mode="batch"
         )
         assert engine_call_count() == 0
-        study = SweepRunner(grid_mode=GridMode.STUDY).run(kernels, space)
+        study = SweepRunner(grid_mode="study").run(kernels, space)
         np.testing.assert_array_equal(batch.perf, study.perf)
 
 

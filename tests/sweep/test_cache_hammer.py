@@ -68,13 +68,27 @@ class TestHammer:
         fingerprint = sweep_fingerprint(kernels, space, "interval")
         rounds = 30
         loaded_ok = []
+        # Loaders keep reading until every writer is done, so they
+        # overlap the whole race even when a miss is much faster than
+        # a store and the writers are slow to be scheduled.
+        writers_left = [3]
+        writers_lock = threading.Lock()
+
+        def writer_done():
+            with writers_lock:
+                writers_left[0] -= 1
 
         def storer():
-            for _ in range(rounds):
-                cache.store(fingerprint, dataset)
+            try:
+                for _ in range(rounds):
+                    cache.store(fingerprint, dataset)
+            finally:
+                writer_done()
 
         def loader():
-            for _ in range(rounds * 2):
+            attempts = 0
+            while attempts < rounds * 2 or writers_left[0]:
+                attempts += 1
                 result = cache.load(fingerprint)
                 if result is not None:
                     # Any successful read is a complete dataset,
@@ -85,8 +99,11 @@ class TestHammer:
                     loaded_ok.append(True)
 
         def invalidator():
-            for _ in range(rounds):
-                cache.invalidate(fingerprint)
+            try:
+                for _ in range(rounds):
+                    cache.invalidate(fingerprint)
+            finally:
+                writer_done()
 
         _run_threads([storer, storer, loader, loader, invalidator])
         # The final store either survived or was invalidated; a fresh

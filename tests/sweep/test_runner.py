@@ -5,7 +5,7 @@ import pytest
 import numpy as np
 
 from repro.errors import DatasetError
-from repro.gpu import GpuSimulator, GridMode
+from repro.gpu import GpuSimulator
 from repro.kernels import compute_kernel, streaming_kernel
 from repro.sweep import SweepRunner, reduced_space
 
@@ -45,13 +45,13 @@ class TestRun:
         kernels = [compute_kernel("a", suite="t"),
                    streaming_kernel("b", suite="t")]
         batch = SweepRunner().run(kernels, space)
-        scalar = SweepRunner(grid_mode=GridMode.SCALAR).run(kernels, space)
+        scalar = SweepRunner(grid_mode="scalar").run(kernels, space)
         np.testing.assert_allclose(
             batch.perf, scalar.perf, rtol=1e-12
         )
 
     def test_default_grid_mode_is_batch(self):
-        assert SweepRunner().grid_mode is GridMode.BATCH
+        assert SweepRunner().grid_mode_name == "batch"
 
     def test_progress_callback_called_per_kernel(self, space):
         calls = []

@@ -60,7 +60,6 @@ class TestCommands:
     def test_sweep_engine_mode_flag(self, tmp_path, monkeypatch):
         # The escape hatch forwards the chosen grid path to the runner.
         import repro.sweep.runner as runner_module
-        from repro.gpu import GridMode
 
         self._shrink_sweep(monkeypatch, count=2)
         seen = {}
@@ -69,16 +68,16 @@ class TestCommands:
         class RecordingRunner(real_runner):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                seen["grid_mode"] = self.grid_mode
+                seen["grid_mode"] = self.grid_mode_name
 
         monkeypatch.setattr(runner_module, "SweepRunner",
                             RecordingRunner)
         out = tmp_path / "data.npz"
         assert main(["sweep", "--out", str(out),
                      "--engine-mode", "scalar"]) == 0
-        assert seen["grid_mode"] is GridMode.SCALAR
+        assert seen["grid_mode"] == "scalar"
         assert main(["sweep", "--out", str(out)]) == 0
-        assert seen["grid_mode"] is GridMode.BATCH
+        assert seen["grid_mode"] == "batch"
 
     def test_sweep_resume_uses_journal(self, tmp_path, capsys,
                                        monkeypatch):
@@ -234,7 +233,6 @@ class TestCacheFlags:
     def test_sweep_engine_mode_study_forwarded(self, tmp_path,
                                                monkeypatch):
         import repro.sweep.runner as runner_module
-        from repro.gpu import GridMode
 
         TestCommands._shrink_sweep(monkeypatch, count=2)
         seen = {}
@@ -243,14 +241,14 @@ class TestCacheFlags:
         class RecordingRunner(real_runner):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                seen["grid_mode"] = self.grid_mode
+                seen["grid_mode"] = self.grid_mode_name
 
         monkeypatch.setattr(runner_module, "SweepRunner",
                             RecordingRunner)
         out = tmp_path / "data.npz"
         assert main(["sweep", "--out", str(out),
                      "--engine-mode", "study"]) == 0
-        assert seen["grid_mode"] is GridMode.STUDY
+        assert seen["grid_mode"] == "study"
 
 
 class TestEnergyCommand:

@@ -5,6 +5,7 @@ quantity; the model must behave for *any* kernel in that envelope, not
 just the authored catalog.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,22 +13,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.coschedule import CoScheduleModel
 from repro.gpu import (
     HAWAII_UARCH,
+    BatchIntervalModel,
     CacheModel,
     HardwareConfig,
     IntervalModel,
     compute_occupancy,
     plan_dispatch,
 )
+from repro.gpu.uarch import list_families
 from repro.kernels import (
     Kernel,
     KernelCharacteristics,
+    KernelPack,
     LaunchGeometry,
     ResourceUsage,
 )
 from repro.sweep.dataset import KernelRecord, ScalingDataset
-from repro.sweep.space import reduced_space
+from repro.sweep.space import ConfigurationSpace, reduced_space
 from repro.sweep.views import Axis, AxisSlice
 from repro.taxonomy import AxisBehaviour, classify_axis
 from repro.taxonomy.features import axis_features_from_slice
@@ -162,6 +167,44 @@ class TestIntervalModelProperties:
         slow = MODEL.simulate(kernel, HardwareConfig(16, 800.0, 400.0))
         fast = MODEL.simulate(kernel, HardwareConfig(16, 800.0, 800.0))
         assert fast.time_s <= slow.time_s * 1.05
+
+
+def _three_per_axis(space: ConfigurationSpace) -> ConfigurationSpace:
+    """*space* cut to its two endpoints and middle value on each axis."""
+
+    def cut(axis):
+        return tuple(sorted({axis[0], axis[len(axis) // 2], axis[-1]}))
+
+    return ConfigurationSpace(
+        cu_counts=cut(space.cu_counts),
+        engine_mhz=cut(space.engine_mhz),
+        memory_mhz=cut(space.memory_mhz),
+        uarch=space.uarch,
+    )
+
+
+class TestGeneratedKernelEngineAgreement:
+    """Generated kernels on every registered family: the grid, study and
+    idle-partner co-schedule paths evaluate the same model bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(kernels, min_size=1, max_size=3),
+        st.sampled_from(list_families()),
+    )
+    def test_grid_study_and_idle_pair_agree(self, generated, family):
+        named = [
+            dataclasses.replace(kernel, name=f"k{i}")
+            for i, kernel in enumerate(generated)
+        ]
+        space = _three_per_axis(family.space)
+        engine = BatchIntervalModel()
+        study = engine.simulate_study(KernelPack.from_kernels(named), space)
+        for i, kernel in enumerate(named):
+            grid = engine.simulate_grid(kernel, space)
+            assert np.array_equal(grid.time_s, study.time_s[i])
+            pair = CoScheduleModel().pair_surface(kernel, None, space)
+            assert np.array_equal(pair.time_a, grid.time_s)
 
 
 class TestDatasetProperties:
