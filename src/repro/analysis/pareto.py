@@ -68,7 +68,9 @@ def performance_power_front(
     """The (performance, board power) frontier of one measured kernel.
 
     Power is evaluated with the kernel's own activity factors at each
-    configuration, so an idle memory interface is not charged.
+    configuration, so an idle memory interface is not charged; the
+    whole power surface comes from one :meth:`EnergyModel.surfaces`
+    call.
     """
     from repro.suites import kernel_by_name
 
@@ -76,18 +78,11 @@ def performance_power_front(
     kernel = kernel_by_name(kernel_name)
     cube = dataset.kernel_cube(kernel_name)
     space = dataset.space
-
-    points = []
-    n_cu, n_eng, n_mem = space.shape
-    for c in range(n_cu):
-        for e in range(n_eng):
-            for m in range(n_mem):
-                config = space.config(c, e, m)
-                result = energy_model.evaluate(kernel, config)
-                points.append(
-                    (config, float(cube[c, e, m]), result.power_w)
-                )
-    return pareto_front(points)
+    power_w = energy_model.surfaces(kernel, space).power_w
+    return pareto_front([
+        (space.config(*index), float(cube[index]), float(power_w[index]))
+        for index in np.ndindex(space.shape)
+    ])
 
 
 def knee_point(front: Sequence[ParetoPoint]) -> ParetoPoint:

@@ -120,10 +120,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
         strict=args.strict,
     )
-    dataset, report = runner.run(
-        all_kernels(), PAPER_SPACE, progress=_progress,
-        resume=args.resume,
-    )
+    try:
+        dataset, report = runner.run(
+            all_kernels(), PAPER_SPACE, progress=_progress,
+            resume=args.resume,
+        )
+    finally:
+        if isinstance(inner, ParallelSweepRunner):
+            inner.close()
     for line in report.summary_lines():
         print(line)
     path = dataset.save(args.out)
@@ -199,24 +203,22 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:
-    from repro.power import DvfsOptimizer, EnergyModel, Objective
+    from repro.power import EnergyModel, Objective
+    from repro.power.dvfs_opt import select_optimum
     from repro.suites import kernel_by_name
 
     kernel = kernel_by_name(args.kernel)
-    energy_model = EnergyModel()
-    optimizer = DvfsOptimizer(energy_model)
     objective = Objective(args.objective)
-    point = optimizer.optimise(kernel, objective,
-                               power_cap_w=args.power_cap)
-
-    from repro.sweep import PAPER_SPACE
-
-    flagship = energy_model.evaluate(kernel, PAPER_SPACE.max_config)
-    chosen = energy_model.evaluate(kernel, point.config)
+    surface = EnergyModel().surfaces(kernel, PAPER_SPACE)
+    chosen = surface.result_at(*select_optimum(
+        surface.time_s, surface.energy_j, surface.power_w,
+        objective, args.power_cap,
+    ))
+    flagship = surface.result_at(*(n - 1 for n in PAPER_SPACE.shape))
     print(f"kernel:            {kernel.full_name}")
     print(f"objective:         {objective.value}"
           + (f" (cap {args.power_cap} W)" if args.power_cap else ""))
-    print(f"operating point:   {point.config.label()}")
+    print(f"operating point:   {chosen.config.label()}")
     print(f"power:             {chosen.power_w:.1f} W "
           f"(flagship {flagship.power_w:.1f} W)")
     print(f"energy vs flagship: "

@@ -1,53 +1,29 @@
 """Multi-core whole-study engine: kernel-axis tiles over a pool.
 
-``BatchIntervalModel.simulate_study`` collapses the full 4-D
-``(kernel, cu, engine, memory)`` study lattice into one set of NumPy
-broadcasts, but it still runs on one core. :class:`StudyMTModel`
-shards the lattice along the *kernel* axis across a persistent process
-pool: every per-kernel quantity in the batch model (occupancy,
-dispatch state, cache and DRAM efficiency, the interval sums) is an
-elementwise function of the kernel row, so a contiguous row-slice of
-the pack evaluates bit-identically to the same rows of the full pack —
-the kernel-axis tiling invariant (``KernelPack.subset`` copies rows
-verbatim, and ``tests/gpu/test_study_mt.py`` pins the bit-exactness).
-
-Each worker writes its tile's ``time_s`` rows straight into a
-preallocated ``multiprocessing.shared_memory`` segment — the PR 3
-transport, now shared via :mod:`repro.shm` — so parent-side assembly
-is a row copy out of the mapped buffer, not a pickle of ~2 MB of
-float64 per tile. ``items_per_second`` is re-derived in the parent as
-``global_size / time_s``, the exact expression (same operands, same
-dtypes) the batch engine ends with, so the division commutes with
-tiling bitwise.
-
-Workers are supervised, never trusted: each tile result is awaited
-with a timeout, and a hung, crashed, or killed worker fails its tile
-visibly. The pool is then discarded (recreated lazily on the next
-study) and the failed tile — plus any tiles not yet collected — is
-evaluated serially in-process, so a mid-study worker death degrades
-throughput but never the result. Environments where no pool or no
-shared memory can be created at all degrade the same way.
-
-Per-process state is built once per pool lifetime, not per tile: the
-worker's :class:`BatchIntervalModel` (whose ``_state`` memo already
-holds ``CacheModel``/``MemoryModel`` per microarchitecture) and its
-attachment to the study's shared segment are module-level caches, so
-the second and later tiles a worker evaluates reuse the first tile's
-scratch state. Workers report their construction counters back with
-every tile; ``last_stats.worker_models`` exposes them for the
-memoization tests.
+:class:`StudyMTModel` shards the 4-D ``(kernel, cu, engine, memory)``
+study lattice along the *kernel* axis over
+:class:`repro.tiles.TileExecutor`. Every per-kernel quantity of
+``BatchIntervalModel.simulate_study`` is elementwise over the kernel
+row, so a row-slice of the pack (``KernelPack.subset``) evaluates
+bit-identically to the same rows of the whole pack — the kernel-axis
+tiling invariant that ``tests/gpu/test_study_mt.py`` pins. Tiles return
+``time_s`` as their rows; ``items_per_second`` is re-derived in the
+parent as ``global_size / time_s``, the batch engine's own final
+expression, so the division commutes with tiling bitwise. The executor
+runs with ``max_retries=0``: a tile whose worker dies is evaluated
+in-process at once and the uncollected tiles go to a fresh pool.
+Each process builds one :class:`BatchIntervalModel` and reuses it for
+every tile; ``last_stats.worker_models`` reports the count.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import shm
 from repro.gpu.engine import (
     STUDY_MT_DESCRIPTOR,
     EngineDescriptor,
@@ -56,127 +32,54 @@ from repro.gpu.engine import (
 from repro.gpu.interval_batch import BatchIntervalModel, StudyGridResult
 from repro.gpu.occupancy import BatchOccupancy
 from repro.kernels.pack import KernelPack
+from repro.tiles import (
+    DEFAULT_TILE_TIMEOUT_S,
+    SupervisionStats,
+    TileExecutor,
+    in_worker,
+    tile_bounds,
+)
 
 #: Kernel-axis tiles submitted per worker: >1 so a fast worker picks
 #: up another tile instead of idling behind the slowest.
 DEFAULT_TILES_PER_WORKER = 2
 
-#: How long to wait for one tile before declaring its worker wedged.
-DEFAULT_TILE_TIMEOUT_S = 300.0
+#: One batch model per process, built on its first tile and reused for
+#: every later one.
+_PROCESS_MODEL: Optional[BatchIntervalModel] = None
 
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-
-#: One batch model per worker process, built on the first tile and
-#: reused for every later tile — its ``_state`` memo keeps one
-#: ``CacheModel``/``MemoryModel`` pair per microarchitecture alive for
-#: the pool's whole lifetime.
-_WORKER_MODEL: Optional[BatchIntervalModel] = None
-
-#: Worker-side construction counters, reported with every tile result
-#: so the parent can assert single construction per pool lifetime.
-_WORKER_STATS = {"model_constructions": 0}
-
-#: The worker's attachment to the current study's shared segment,
-#: keyed by segment name: attach once, reuse for every tile of the
-#: study, close when the next study brings a new segment.
-_WORKER_SEGMENT: Dict[str, object] = {"name": None, "segment": None,
-                                      "view": None}
+#: Construction counter for :data:`_PROCESS_MODEL`, reported with every
+#: tile so the parent can assert single construction per process.
+_MODEL_CONSTRUCTIONS = {"count": 0}
 
 
-def _worker_model() -> BatchIntervalModel:
-    global _WORKER_MODEL
-    if _WORKER_MODEL is None:
-        _WORKER_MODEL = BatchIntervalModel()
-        _WORKER_STATS["model_constructions"] += 1
-    return _WORKER_MODEL
-
-
-def _worker_view(shm_info: dict) -> Optional[np.ndarray]:
-    """The mapped full-study array, attached at most once per segment."""
-    if _WORKER_SEGMENT["name"] == shm_info["name"]:
-        return _WORKER_SEGMENT["view"]
-    old = _WORKER_SEGMENT["segment"]
-    if old is not None:
-        try:
-            old.close()
-        except Exception:
-            pass
-        _WORKER_SEGMENT.update(name=None, segment=None, view=None)
-    attached = shm.attach_view(shm_info)
-    if attached is None:
-        return None
-    segment, view = attached
-    _WORKER_SEGMENT.update(
-        name=shm_info["name"], segment=segment, view=view
-    )
-    return view
+def _process_model() -> BatchIntervalModel:
+    global _PROCESS_MODEL
+    if _PROCESS_MODEL is None:
+        _PROCESS_MODEL = BatchIntervalModel()
+        _MODEL_CONSTRUCTIONS["count"] += 1
+    return _PROCESS_MODEL
 
 
 def _simulate_tile(payload: dict) -> dict:
-    """Worker: evaluate one kernel-axis tile of the study.
-
-    Returns a structured result instead of raising. The tile's
-    ``time_s`` rows go into the shared segment when one is named and
-    attachable; otherwise they ride back in the pickle. Everything
-    else (occupancy, cache, DRAM rows) is small and always pickled.
-    """
-    if payload.get("kill"):
+    """Tile function: evaluate one kernel-axis tile of the study."""
+    if payload["kill"] and in_worker():
         # Chaos hook for the supervision tests: die the way a real
         # crashed worker does, with no exception to catch.
         os._exit(1)
-    try:
-        pack: KernelPack = payload["pack"]
-        result = _worker_model().simulate_study(pack, payload["space"])
-        shm_info = payload.get("shm")
-        wrote = False
-        if shm_info is not None:
-            view = _worker_view(shm_info)
-            if view is not None:
-                offset = int(shm_info["offset"])
-                view[offset:offset + result.time_s.shape[0]] = (
-                    result.time_s
-                )
-                wrote = True
-        return {
-            "ok": True,
-            "pid": os.getpid(),
-            "model_constructions": _WORKER_STATS["model_constructions"],
-            "time_s": None if wrote else result.time_s,
-            "waves_per_cu": result.occupancy.waves_per_cu,
-            "workgroups_per_cu": result.occupancy.workgroups_per_cu,
-            "limiters": result.occupancy.limiters,
-            "l2_hit_rate": result.l2_hit_rate,
-            "dram_bytes": result.dram_bytes,
-        }
-    except Exception as exc:
-        return {
-            "ok": False,
-            "pid": os.getpid(),
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-
-
-# ----------------------------------------------------------------------
-# Parent side
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class StudyMTStats:
-    """Counters describing the most recent :meth:`simulate_study`."""
-
-    tiles: int = 0
-    pool_workers: int = 0
-    used_pool: bool = False
-    shm_used: bool = False
-    fallbacks: int = 0
-    pool_unavailable: bool = False
-    worker_errors: List[str] = field(default_factory=list)
-    #: pid -> model constructions that worker has performed, as
-    #: reported with its most recently collected tile.
-    worker_models: Dict[int, int] = field(default_factory=dict)
+    result = _process_model().simulate_study(
+        payload["pack"], payload["space"]
+    )
+    return {
+        "rows": result.time_s,
+        "pid": os.getpid(),
+        "model_constructions": _MODEL_CONSTRUCTIONS["count"],
+        "waves_per_cu": result.occupancy.waves_per_cu,
+        "workgroups_per_cu": result.occupancy.workgroups_per_cu,
+        "limiters": result.occupancy.limiters,
+        "l2_hit_rate": result.l2_hit_rate,
+        "dram_bytes": result.dram_bytes,
+    }
 
 
 class StudyMTModel:
@@ -201,17 +104,16 @@ class StudyMTModel:
         tile_timeout_s: float = DEFAULT_TILE_TIMEOUT_S,
         _chaos_kill_tiles: Tuple[int, ...] = (),
     ):
-        self._workers = workers or max(
-            1, multiprocessing.cpu_count() - 1
+        self._executor = TileExecutor(
+            workers or max(1, multiprocessing.cpu_count() - 1),
+            tile_timeout_s=tile_timeout_s,
+            max_retries=0,
         )
         self._tiles_per_worker = max(1, tiles_per_worker)
-        self._tile_timeout_s = tile_timeout_s
-        # Test-only fault injection: tile indices whose first pool
-        # attempt dies mid-study (serial fallback must still be exact).
+        # Test-only fault injection: tile indices whose pool attempt
+        # dies mid-study (the serial fallback must still be exact).
         self._chaos_kill_tiles = frozenset(_chaos_kill_tiles)
-        self._pool = None
-        self._local_model: Optional[BatchIntervalModel] = None
-        self._stats = StudyMTStats()
+        self._stats = SupervisionStats()
 
     def descriptor(self) -> EngineDescriptor:
         """Identity registered for this engine."""
@@ -220,23 +122,16 @@ class StudyMTModel:
     @property
     def workers(self) -> int:
         """Worker-process count the pool is sized for."""
-        return self._workers
+        return self._executor.workers
 
     @property
-    def last_stats(self) -> StudyMTStats:
+    def last_stats(self) -> SupervisionStats:
         """Supervision counters from the most recent study."""
         return self._stats
 
     def close(self) -> None:
         """Tear down the persistent pool (recreated lazily on use)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    # ------------------------------------------------------------------
-    # Study evaluation
-    # ------------------------------------------------------------------
+        self._executor.close()
 
     def simulate_study(
         self, pack: KernelPack, space: GridSpace
@@ -248,53 +143,41 @@ class StudyMTModel:
         """
         n_kernels = len(pack)
         n_cu = space.shape[0]
-        shape = (n_kernels,) + tuple(space.shape)
-        tiles = self._tile_bounds(n_kernels)
-        stats = StudyMTStats(tiles=len(tiles), pool_workers=self._workers)
-        self._stats = stats
+        bounds = tile_bounds(
+            n_kernels, self.workers * self._tiles_per_worker
+        )
+        payloads = [
+            {
+                "pack": pack.subset(lo, hi),
+                "space": space,
+                "kill": index in self._chaos_kill_tiles,
+            }
+            for index, (lo, hi) in enumerate(bounds)
+        ]
+        # Arm each chaos tile for one study only.
+        self._chaos_kill_tiles = frozenset()
 
-        time_s = np.empty(shape, dtype=np.float64)
         l2_hit_rate = np.empty((n_kernels, n_cu), dtype=np.float64)
         dram_bytes = np.empty((n_kernels, n_cu), dtype=np.float64)
         waves_per_cu = np.empty(n_kernels, dtype=np.int64)
         workgroups_per_cu = np.empty(n_kernels, dtype=np.int64)
         limiters: List[str] = [""] * n_kernels
+        worker_models: Dict[int, int] = {}
 
-        def place(lo: int, hi: int, tile: dict) -> None:
-            """Copy one tile's small arrays into the study rows."""
+        def on_tile(index: int, tile: dict) -> None:
+            lo, hi = bounds[index]
             waves_per_cu[lo:hi] = tile["waves_per_cu"]
             workgroups_per_cu[lo:hi] = tile["workgroups_per_cu"]
             limiters[lo:hi] = tile["limiters"]
             l2_hit_rate[lo:hi] = tile["l2_hit_rate"]
             dram_bytes[lo:hi] = tile["dram_bytes"]
-            if tile["time_s"] is not None:
-                time_s[lo:hi] = tile["time_s"]
+            worker_models[tile["pid"]] = tile["model_constructions"]
 
-        done = [False] * len(tiles)
-        if len(tiles) > 1 and self._workers > 1:
-            self._run_pool(pack, space, tiles, shape, time_s,
-                           place, done, stats)
-
-        for index, (lo, hi) in enumerate(tiles):
-            if done[index]:
-                continue
-            # Serial tile: evaluated in-process with the memoized
-            # local model, written straight into the preallocated
-            # study arrays — the no-pool path and the fallback for
-            # any tile the pool failed to deliver.
-            result = self._local().simulate_study(
-                pack.subset(lo, hi), space
-            )
-            time_s[lo:hi] = result.time_s
-            l2_hit_rate[lo:hi] = result.l2_hit_rate
-            dram_bytes[lo:hi] = result.dram_bytes
-            waves_per_cu[lo:hi] = result.occupancy.waves_per_cu
-            workgroups_per_cu[lo:hi] = (
-                result.occupancy.workgroups_per_cu
-            )
-            limiters[lo:hi] = result.occupancy.limiters
-            if stats.used_pool:
-                stats.fallbacks += 1
+        time_s, self._stats = self._executor.run(
+            _simulate_tile, payloads, bounds,
+            (n_kernels,) + tuple(space.shape), on_tile,
+        )
+        self._stats.worker_models = worker_models
 
         # The exact expression the batch engine ends with — int64
         # column over the float64 tensor — re-derived over the
@@ -317,145 +200,3 @@ class StudyMTModel:
             dram_bytes=dram_bytes,
             global_size=global_size.copy(),
         )
-
-    # ------------------------------------------------------------------
-    # Pool supervision
-    # ------------------------------------------------------------------
-
-    def _tile_bounds(self, n_kernels: int) -> List[Tuple[int, int]]:
-        """Contiguous near-equal kernel-row tiles ``[(lo, hi), ...]``."""
-        n_tiles = min(
-            n_kernels, self._workers * self._tiles_per_worker
-        )
-        base, extra = divmod(n_kernels, n_tiles)
-        bounds = []
-        lo = 0
-        for index in range(n_tiles):
-            hi = lo + base + (1 if index < extra else 0)
-            bounds.append((lo, hi))
-            lo = hi
-        return bounds
-
-    def _local(self) -> BatchIntervalModel:
-        """The parent-side batch model for serial tiles, built once."""
-        if self._local_model is None:
-            self._local_model = BatchIntervalModel()
-        return self._local_model
-
-    def _ensure_pool(self):
-        """The persistent pool, created lazily; ``None`` where process
-        pools cannot be created (e.g. sandboxes)."""
-        if self._pool is None:
-            try:
-                # Fork with the shm resource tracker already running,
-                # so workers inherit it instead of spawning their own
-                # (a private tracker mistakes the parent's segments
-                # for leaks at worker exit).
-                shm.ensure_tracker()
-                self._pool = multiprocessing.Pool(self._workers)
-            except (OSError, PermissionError, RuntimeError, ValueError):
-                self._pool = None
-        return self._pool
-
-    def _discard_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    def _run_pool(
-        self,
-        pack: KernelPack,
-        space: GridSpace,
-        tiles: List[Tuple[int, int]],
-        shape: Tuple[int, ...],
-        time_s: np.ndarray,
-        place,
-        done: List[bool],
-        stats: StudyMTStats,
-    ) -> None:
-        """Deliver as many tiles as the pool manages; mark them done.
-
-        Tiles not marked done — the failed one and everything not yet
-        collected when the pool is torn down — are left for the serial
-        fallback loop. Completed-but-uncollected shared-memory writes
-        are simply recomputed: the data is deterministic, so rewriting
-        rows is idempotent.
-        """
-        pool = self._ensure_pool()
-        if pool is None:
-            stats.pool_unavailable = True
-            return
-        stats.used_pool = True
-
-        segment = shm.create_segment(shape)
-        stats.shm_used = segment is not None
-        try:
-            payloads = []
-            for index, (lo, hi) in enumerate(tiles):
-                payload = {
-                    "pack": pack.subset(lo, hi),
-                    "space": space,
-                }
-                if segment is not None:
-                    payload["shm"] = shm.segment_descriptor(
-                        segment, shape, lo
-                    )
-                if index in self._chaos_kill_tiles:
-                    payload["kill"] = True
-                payloads.append(payload)
-            # Arm each chaos tile once: the serial fallback re-runs it
-            # in-process, where the kill flag must not follow.
-            self._chaos_kill_tiles = frozenset()
-
-            pending = {
-                index: pool.apply_async(_simulate_tile, (payloads[index],))
-                for index in range(len(tiles))
-            }
-            view = (
-                np.ndarray(shape, dtype=np.float64, buffer=segment.buf)
-                if segment is not None
-                else None
-            )
-            for index in sorted(pending):
-                lo, hi = tiles[index]
-                try:
-                    outcome = pending[index].get(self._tile_timeout_s)
-                except multiprocessing.TimeoutError:
-                    stats.worker_errors.append(
-                        f"tile {index} [{lo}:{hi}): no result within "
-                        f"{self._tile_timeout_s:g}s (worker hung or "
-                        "died mid-study)"
-                    )
-                    self._discard_pool()
-                    return
-                except Exception as exc:
-                    stats.worker_errors.append(
-                        f"tile {index} [{lo}:{hi}): pool failure "
-                        f"{type(exc).__name__}: {exc}"
-                    )
-                    self._discard_pool()
-                    return
-                if not outcome["ok"]:
-                    stats.worker_errors.append(
-                        f"tile {index} [{lo}:{hi}): {outcome['error']}"
-                    )
-                    self._discard_pool()
-                    return
-                stats.worker_models[outcome["pid"]] = (
-                    outcome["model_constructions"]
-                )
-                place(lo, hi, outcome)
-                if outcome["time_s"] is None:
-                    # The worker wrote these rows into the segment
-                    # before returning; copy them out immediately so
-                    # an early pool teardown cannot orphan them.
-                    time_s[lo:hi] = view[lo:hi]
-                done[index] = True
-        finally:
-            if segment is not None:
-                segment.close()
-                try:
-                    segment.unlink()
-                except FileNotFoundError:
-                    pass

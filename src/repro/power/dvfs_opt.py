@@ -254,13 +254,24 @@ class DvfsOptimizer:
         """True when the flagship configuration is also (near-)energy
         optimal — the race-to-idle regime typical of compute-bound
         kernels with significant static power."""
-        optimum = self.optimise(kernel, Objective.MIN_ENERGY)
-        flagship = self._energy.evaluate(kernel, self._space.max_config)
-        return flagship.energy_j <= 1.1 * optimum.energy_j
+        optimum, flagship = self._min_and_flagship_energy(kernel)
+        return flagship <= 1.1 * optimum
 
     def energy_saving_vs_flagship(self, kernel: Kernel) -> float:
         """Fraction of energy the MIN_ENERGY point saves over running
         the kernel at the flagship configuration."""
-        optimum = self.optimise(kernel, Objective.MIN_ENERGY)
-        flagship = self._energy.evaluate(kernel, self._space.max_config)
-        return 1.0 - optimum.energy_j / flagship.energy_j
+        optimum, flagship = self._min_and_flagship_energy(kernel)
+        return 1.0 - optimum / flagship
+
+    def _min_and_flagship_energy(self, kernel: Kernel) -> Tuple[float, float]:
+        """Energy (J) at the MIN_ENERGY point and at the flagship
+        (largest-corner) configuration, read from one surface."""
+        surface = self._energy.surfaces(kernel, self._space)
+        c, e, m = select_optimum(
+            surface.time_s, surface.energy_j, surface.power_w,
+            Objective.MIN_ENERGY,
+        )
+        return (
+            float(surface.energy_j[c, e, m]),
+            float(surface.energy_j[-1, -1, -1]),
+        )

@@ -35,7 +35,7 @@ from __future__ import annotations
 import asyncio
 import pickle
 import struct
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -62,6 +62,7 @@ from repro.service.batcher import (
     ServiceTimeoutError,
 )
 from repro.sweep.space import PAPER_SPACE, ConfigurationSpace
+from repro.tiles import untrack_segment
 
 #: Frames larger than this are refused (a grid surface rides shared
 #: memory, so legitimate frames stay small).
@@ -258,21 +259,6 @@ def decode_query(payload: Tuple[Any, ...]) -> Query:
 # ----------------------------------------------------------------------
 
 
-def _untrack_shared_memory(segment) -> None:
-    """Detach *segment* from this process's resource tracker.
-
-    Creating or attaching registers the segment with the tracker
-    (bpo-39959); left registered, whichever process exits first would
-    unlink a segment the other still owns and both would log spurious
-    leak warnings. Ownership here is explicit instead: the router
-    unlinks after copying out (see :func:`decode_result`).
-    """
-    try:
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:
-        pass
-
-
 def encode_result(
     result: Union[
         PointResult, GridResult, EnergyGridResult, PairGridResult
@@ -322,7 +308,7 @@ def encode_result(
             "grid-inline", result.kernel_name, array,
             result.global_size, result.from_cache,
         )
-    _untrack_shared_memory(segment)
+    untrack_segment(segment)
     view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
     view[...] = array
     name = segment.name
@@ -403,7 +389,7 @@ def decode_result(
             try:
                 segment.unlink()
             except FileNotFoundError:
-                _untrack_shared_memory(segment)
+                untrack_segment(segment)
         return GridResult(
             kernel_name=kernel_name,
             items_per_second=array,
@@ -425,7 +411,7 @@ def release_result(payload: Tuple[Any, ...]) -> None:
         try:
             segment.unlink()
         except FileNotFoundError:
-            _untrack_shared_memory(segment)
+            untrack_segment(segment)
 
 
 # ----------------------------------------------------------------------

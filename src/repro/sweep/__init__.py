@@ -11,7 +11,7 @@ from repro.sweep.campaign import CampaignReport, CampaignRunner
 from repro.sweep.dataset import KernelRecord, ScalingDataset
 from repro.sweep.faults import FaultKind, FaultSpec, FaultyEngine
 from repro.sweep.noise import NoiseModel, perturb
-from repro.sweep.parallel import ParallelSweepRunner, SupervisionStats
+from repro.sweep.parallel import ParallelSweepRunner
 from repro.sweep.runner import SweepRunner, collect_paper_dataset
 from repro.sweep.space import PAPER_SPACE, ConfigurationSpace, reduced_space
 from repro.sweep.views import (
@@ -23,6 +23,7 @@ from repro.sweep.views import (
     end_to_end_speedups,
     normalised_cube,
 )
+from repro.tiles import SupervisionStats
 
 __all__ = [
     "Axis",

@@ -20,7 +20,6 @@ disappear on retry — including retries in a fresh process.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -36,6 +35,7 @@ from repro.gpu.engine import (
 )
 from repro.gpu.simulator import GpuSimulator, SimulationResult
 from repro.kernels.kernel import Kernel
+from repro.tiles import in_worker
 
 
 class FaultKind(Enum):
@@ -49,11 +49,6 @@ class FaultKind(Enum):
     NAN = "nan"
     #: Kill the current process with ``os._exit`` (worker crash).
     EXIT = "exit"
-
-
-def _in_worker() -> bool:
-    """True inside a multiprocessing pool worker (daemon process)."""
-    return multiprocessing.current_process().daemon
 
 
 @dataclass(frozen=True)
@@ -182,9 +177,9 @@ class FaultyEngine:
 
     @staticmethod
     def _matches(spec: FaultSpec, kernel: Kernel, call_index: int) -> bool:
-        if spec.scope == "worker" and not _in_worker():
+        if spec.scope == "worker" and not in_worker():
             return False
-        if spec.scope == "main" and _in_worker():
+        if spec.scope == "main" and in_worker():
             return False
         if (spec.kernel_name is not None
                 and kernel.full_name != spec.kernel_name):

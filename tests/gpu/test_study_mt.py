@@ -148,7 +148,7 @@ class TestPoolSupervision:
         # Pool creation can legitimately fail in sandboxes; when it
         # does the engine must say so and fall back serially.
         if stats.used_pool:
-            assert stats.fallbacks == 0
+            assert stats.degraded_tiles == 0
             assert not stats.worker_errors
         else:
             assert stats.pool_unavailable
@@ -189,11 +189,11 @@ class TestPoolSupervision:
             stats = engine.last_stats
             if stats.used_pool:
                 assert stats.worker_errors
-                assert stats.fallbacks > 0
+                assert stats.degraded_tiles > 0
             assert_study_bit_exact(wounded, oracle_study(kernels, space))
             healthy = engine.simulate_study(pack, space)
             if engine.last_stats.used_pool:
-                assert engine.last_stats.fallbacks == 0
+                assert engine.last_stats.degraded_tiles == 0
                 assert not engine.last_stats.worker_errors
             assert_study_bit_exact(healthy, wounded)
         finally:

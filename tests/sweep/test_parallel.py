@@ -12,7 +12,7 @@ from repro.sweep import (
     SweepRunner,
     reduced_space,
 )
-import repro.sweep.parallel as parallel_module
+import repro.tiles as tiles_module
 from repro.sweep.parallel import ParallelSweepRunner
 
 
@@ -94,23 +94,20 @@ class TestSharedMemoryTransfer:
     def clean_dataset(self, kernels, space):
         return SweepRunner().run(kernels, space)
 
-    def test_segment_created_and_released(self, kernels, space):
+    def test_segment_created_and_released(
+        self, kernels, space, monkeypatch
+    ):
         runner = ParallelSweepRunner(workers=3)
         created = []
-        original = ParallelSweepRunner._create_shared_result
+        original = tiles_module.create_segment
 
         def tracking(result_shape):
             shm = original(result_shape)
             created.append(shm)
             return shm
 
-        ParallelSweepRunner._create_shared_result = staticmethod(tracking)
-        try:
-            runner.run(kernels, space)
-        finally:
-            ParallelSweepRunner._create_shared_result = staticmethod(
-                original
-            )
+        monkeypatch.setattr(tiles_module, "create_segment", tracking)
+        runner.run(kernels, space)
         assert len(created) == 1 and created[0] is not None
         from multiprocessing import shared_memory
 
@@ -121,9 +118,9 @@ class TestSharedMemoryTransfer:
         self, kernels, space, clean_dataset, monkeypatch
     ):
         monkeypatch.setattr(
-            ParallelSweepRunner,
-            "_create_shared_result",
-            staticmethod(lambda result_shape: None),
+            tiles_module,
+            "create_segment",
+            lambda result_shape: None,
         )
         dataset = ParallelSweepRunner(workers=3).run(kernels, space)
         np.testing.assert_array_equal(dataset.perf, clean_dataset.perf)
@@ -134,8 +131,8 @@ class TestSharedMemoryTransfer:
         # Patched before the (forked) pool is created, so workers
         # inherit the broken writer and must fall back to pickling.
         monkeypatch.setattr(
-            parallel_module,
-            "_write_rows_shared",
+            tiles_module,
+            "_write_rows",
             lambda shm_info, perf: False,
         )
         dataset = ParallelSweepRunner(workers=3).run(kernels, space)
@@ -176,4 +173,4 @@ class TestSharedMemoryTransfer:
         )
         dataset = runner.run(kernels, space)
         np.testing.assert_array_equal(dataset.perf, clean_dataset.perf)
-        assert runner.last_stats.degraded_chunks == 1
+        assert runner.last_stats.degraded_tiles == 1

@@ -83,7 +83,7 @@ class TestCrashRecovery:
         np.testing.assert_array_equal(dataset.perf, clean_dataset.perf)
         stats = runner.last_stats
         assert stats.retries == 1
-        assert stats.degraded_chunks == 1
+        assert stats.degraded_tiles == 1
         assert stats.timeouts == 2
         assert stats.worker_errors
 
@@ -104,7 +104,7 @@ class TestCrashRecovery:
         np.testing.assert_array_equal(dataset.perf, clean_dataset.perf)
         stats = runner.last_stats
         assert stats.retries == 1
-        assert stats.degraded_chunks == 0
+        assert stats.degraded_tiles == 0
 
     def test_hung_worker_times_out_and_degrades(
         self, kernels, space, clean_dataset
@@ -121,7 +121,7 @@ class TestCrashRecovery:
         dataset = runner.run(kernels, space)
         np.testing.assert_array_equal(dataset.perf, clean_dataset.perf)
         assert runner.last_stats.timeouts == 1
-        assert runner.last_stats.degraded_chunks == 1
+        assert runner.last_stats.degraded_tiles == 1
 
 
 class TestPoolUnavailable:

@@ -23,6 +23,7 @@ from repro.gpu import (
     compute_occupancy,
     plan_dispatch,
 )
+from repro.gpu.study_mt import StudyMTModel
 from repro.gpu.uarch import list_families
 from repro.kernels import (
     Kernel,
@@ -36,6 +37,7 @@ from repro.sweep.space import ConfigurationSpace, reduced_space
 from repro.sweep.views import Axis, AxisSlice
 from repro.taxonomy import AxisBehaviour, classify_axis
 from repro.taxonomy.features import axis_features_from_slice
+from tests.gpu.test_study_mt import assert_study_bit_exact
 
 MODEL = IntervalModel()
 
@@ -183,23 +185,36 @@ def _three_per_axis(space: ConfigurationSpace) -> ConfigurationSpace:
     )
 
 
+@pytest.fixture(scope="module")
+def study_mt():
+    """One two-worker study-mt engine whose pool serves every example."""
+    engine = StudyMTModel(2)
+    yield engine
+    engine.close()
+
+
 class TestGeneratedKernelEngineAgreement:
-    """Generated kernels on every registered family: the grid, study and
-    idle-partner co-schedule paths evaluate the same model bit for bit."""
+    """Generated kernels on every registered family: the grid, study,
+    study-mt and idle-partner co-schedule paths evaluate the same model
+    bit for bit."""
 
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(kernels, min_size=1, max_size=3),
         st.sampled_from(list_families()),
     )
-    def test_grid_study_and_idle_pair_agree(self, generated, family):
+    def test_grid_study_and_idle_pair_agree(
+        self, study_mt, generated, family
+    ):
         named = [
             dataclasses.replace(kernel, name=f"k{i}")
             for i, kernel in enumerate(generated)
         ]
         space = _three_per_axis(family.space)
         engine = BatchIntervalModel()
-        study = engine.simulate_study(KernelPack.from_kernels(named), space)
+        pack = KernelPack.from_kernels(named)
+        study = engine.simulate_study(pack, space)
+        assert_study_bit_exact(study_mt.simulate_study(pack, space), study)
         for i, kernel in enumerate(named):
             grid = engine.simulate_grid(kernel, space)
             assert np.array_equal(grid.time_s, study.time_s[i])
