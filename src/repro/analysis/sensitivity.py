@@ -86,8 +86,8 @@ def all_sensitivities(
 ) -> Dict[str, SensitivityIndex]:
     """Sensitivity indices for every kernel, keyed by full name."""
     return {
-        name: kernel_sensitivity(dataset, name)
-        for name in dataset.kernel_names
+        features.kernel_name: sensitivity_from_features(features)
+        for features in extract_features(dataset)
     }
 
 

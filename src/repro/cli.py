@@ -126,8 +126,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             resume=args.resume,
         )
     finally:
-        if isinstance(inner, ParallelSweepRunner):
-            inner.close()
+        inner.close()
     for line in report.summary_lines():
         print(line)
     path = dataset.save(args.out)

@@ -109,6 +109,7 @@ class GpuSimulator:
         self._point = resolve("point")
         self._grid = resolve("grid")
         self._study = resolve("study")
+        self._engines = tuple(resolved.values())
 
     @property
     def engine_name(self) -> str:
@@ -118,6 +119,12 @@ class GpuSimulator:
     def descriptor(self) -> EngineDescriptor:
         """Stable identity of the selected engine."""
         return engine_registration(self._name).descriptor
+
+    def close(self) -> None:
+        """Release what the resolved engines hold (the ``study-mt``
+        process pool); each recreates it lazily on its next call."""
+        for engine in self._engines:
+            getattr(engine, "close", lambda: None)()
 
     # -- negotiated capabilities (the facade satisfies TimingEngine) ---
 
@@ -222,7 +229,7 @@ class GpuSimulator:
         pack = (
             kernels
             if isinstance(kernels, KernelPack)
-            else memoized_pack(list(kernels))
+            else memoized_pack(kernels)
         )
         record_engine_call(self._name)
         try:

@@ -20,8 +20,6 @@ so the pack is a pure layout transformation, never a approximation.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -238,46 +236,32 @@ def pack_kernels(kernels: Sequence[Kernel]) -> KernelPack:
 #: loop and should not hold packs alive.
 _PACK_CACHE_CAPACITY = 8
 
-_pack_cache: "OrderedDict[str, KernelPack]" = OrderedDict()
+#: Keyed by the ``id`` of every kernel, in order. Each entry holds its
+#: kernels, so no id in a live key can be reused by another object.
+_pack_cache: "OrderedDict[Tuple[int, ...], Tuple[tuple, KernelPack]]" = OrderedDict()
 _pack_cache_lock = threading.Lock()
-
-
-def catalog_fingerprint(kernels: Sequence[Kernel]) -> str:
-    """A content hash identifying *kernels* (values and order).
-
-    Hashes the canonical dict form of every kernel, so two catalogs
-    fingerprint equal exactly when packing them yields equal packs.
-    Deliberately local (hashlib over sorted-keys JSON) rather than
-    borrowing the sweep cache's fingerprint helper: the kernels layer
-    sits below ``repro.sweep`` and must not import it.
-    """
-    digest = hashlib.sha256()
-    for kernel in kernels:
-        digest.update(
-            json.dumps(kernel.to_dict(), sort_keys=True).encode()
-        )
-        digest.update(b"\x00")
-    return digest.hexdigest()
 
 
 def memoized_pack(kernels: Sequence[Kernel]) -> KernelPack:
     """Pack *kernels*, reusing a cached pack for a known catalog.
 
-    Keyed by :func:`catalog_fingerprint`, so repeated whole-study calls
-    over the same 267-kernel catalog stop re-packing it every time.
-    The returned pack is shared — safe because :class:`KernelPack` is
-    frozen and the engines treat its arrays as read-only. A small LRU
-    bounds memory across distinct catalogs.
+    Keyed by the identity of the (frozen) kernel objects: the registry
+    returns the same instances on every call, so a repeated study over
+    the catalog costs a tuple of ids, while equal-content but distinct
+    kernels are packed afresh. The returned pack is shared — safe
+    because :class:`KernelPack` is frozen and the engines treat its
+    arrays as read-only. A small LRU bounds memory across catalogs.
     """
-    key = catalog_fingerprint(kernels)
+    kernels = tuple(kernels)
+    key = tuple(map(id, kernels))
     with _pack_cache_lock:
         cached = _pack_cache.get(key)
         if cached is not None:
             _pack_cache.move_to_end(key)
-            return cached
-    pack = KernelPack.from_kernels(list(kernels))
+            return cached[1]
+    pack = KernelPack.from_kernels(kernels)
     with _pack_cache_lock:
-        _pack_cache[key] = pack
+        _pack_cache[key] = (kernels, pack)
         _pack_cache.move_to_end(key)
         while len(_pack_cache) > _PACK_CACHE_CAPACITY:
             _pack_cache.popitem(last=False)

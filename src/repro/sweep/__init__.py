@@ -17,6 +17,7 @@ from repro.sweep.space import PAPER_SPACE, ConfigurationSpace, reduced_space
 from repro.sweep.views import (
     Axis,
     AxisSlice,
+    axis_lines,
     axis_slice,
     axis_values,
     clock_surface,
@@ -42,6 +43,7 @@ __all__ = [
     "SupervisionStats",
     "SweepCache",
     "SweepRunner",
+    "axis_lines",
     "axis_slice",
     "axis_values",
     "cached_paper_dataset",

@@ -202,18 +202,15 @@ class ScalingDataset:
         rows must be entirely NaN. Violations raise
         :class:`DatasetError` naming the offending kernel rows.
         """
-        non_finite: List[str] = []
-        non_positive: List[str] = []
-        not_nan_filled: List[str] = []
-        for i, record in enumerate(self._records):
-            row = self._perf[i]
-            if record.full_name in self._quarantined:
-                if not np.all(np.isnan(row)):
-                    not_nan_filled.append(record.full_name)
-            elif not np.all(np.isfinite(row)):
-                non_finite.append(record.full_name)
-            elif np.any(row <= 0):
-                non_positive.append(record.full_name)
+        rows = (1, 2, 3)
+        names = np.array(self.kernel_names, dtype=object)
+        held = np.array([n in self._quarantined for n in names], dtype=bool)
+        finite = np.isfinite(self._perf).all(axis=rows)
+        positive = (self._perf > 0).all(axis=rows)
+        nan_filled = np.isnan(self._perf).all(axis=rows)
+        non_finite = list(names[~held & ~finite])
+        non_positive = list(names[~held & finite & ~positive])
+        not_nan_filled = list(names[held & ~nan_filled])
         if non_finite:
             raise DatasetError(
                 "perf contains non-finite values in kernel rows: "

@@ -95,6 +95,10 @@ class SweepRunner:
         """Canonical grid-mode name (``batch``/``scalar``/``study``)."""
         return self._mode
 
+    def close(self) -> None:
+        """Release the simulator's resources (recreated lazily on use)."""
+        getattr(self._simulator, "close", lambda: None)()
+
     def run(
         self,
         kernels: Sequence[Kernel],
@@ -116,43 +120,35 @@ class SweepRunner:
         perf = np.empty((len(kernels), n_cu, n_eng, n_mem), dtype=np.float64)
         quarantined: Dict[str, str] = {}
 
-        if self._mode == "study":
-            study_perf = self._try_study(kernels, space)
-            if study_perf is not None:
-                for row, kernel in enumerate(kernels):
-                    values = study_perf[row]
-                    reason = self._row_defect(values, space)
-                    if reason is None:
-                        perf[row] = values
-                    else:
-                        error = SimulationError(kernel.full_name, reason)
-                        if strict:
-                            raise error
-                        perf[row] = np.nan
-                        quarantined[kernel.full_name] = error.reason
-                    if progress is not None:
-                        progress(row + 1, len(kernels))
-                records = [
-                    KernelRecord.from_full_name(name) for name in names
-                ]
-                return ScalingDataset(
-                    space, records, perf, quarantined=quarantined
-                )
-            # Whole-study evaluation failed or is unsupported by this
-            # simulator: fall through to the per-kernel loop, which
-            # attributes and quarantines failures kernel by kernel.
-
-        for row, kernel in enumerate(kernels):
-            try:
-                perf[row] = self._simulate_row(kernel, space)
-            except Exception as exc:
-                error = self._as_simulation_error(kernel, exc)
+        # Whole-study evaluation, unless it failed or this simulator
+        # does not support it: then the per-kernel loop attributes and
+        # quarantines failures kernel by kernel.
+        study_perf = (
+            self._try_study(kernels, space) if self._mode == "study" else None
+        )
+        if study_perf is not None:
+            perf[...] = study_perf
+            for row, reason in self._row_defects(perf).items():
+                error = SimulationError(names[row], reason)
                 if strict:
                     raise error
                 perf[row] = np.nan
-                quarantined[kernel.full_name] = error.reason
+                quarantined[names[row]] = error.reason
             if progress is not None:
-                progress(row + 1, len(kernels))
+                for row in range(len(kernels)):
+                    progress(row + 1, len(kernels))
+        else:
+            for row, kernel in enumerate(kernels):
+                try:
+                    perf[row] = self._simulate_row(kernel, space)
+                except Exception as exc:
+                    error = self._as_simulation_error(kernel, exc)
+                    if strict:
+                        raise error
+                    perf[row] = np.nan
+                    quarantined[kernel.full_name] = error.reason
+                if progress is not None:
+                    progress(row + 1, len(kernels))
 
         records = [KernelRecord.from_full_name(name) for name in names]
         return ScalingDataset(space, records, perf, quarantined=quarantined)
@@ -185,20 +181,18 @@ class SweepRunner:
         return values
 
     @staticmethod
-    def _row_defect(
-        values: np.ndarray, space: ConfigurationSpace
-    ) -> Optional[str]:
-        """Why one kernel's throughput row is unusable, if it is."""
-        if values.shape != space.shape:
-            return (
-                f"engine returned shape {values.shape}, "
-                f"expected {space.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            return "engine produced non-finite throughput"
-        if np.any(values <= 0):
-            return "engine produced non-positive throughput"
-        return None
+    def _row_defects(perf: np.ndarray) -> Dict[int, str]:
+        """Row -> why that kernel's throughput is unusable, for every
+        unusable row of a ``(kernels, cu, engine, memory)`` tensor."""
+        rows = (1, 2, 3)
+        finite = np.isfinite(perf).all(axis=rows)
+        positive = (perf > 0).all(axis=rows)
+        return {
+            row: "engine produced non-finite throughput"
+            if not finite[row]
+            else "engine produced non-positive throughput"
+            for row in np.flatnonzero(~(finite & positive)).tolist()
+        }
 
     def _simulate_row(
         self, kernel: Kernel, space: ConfigurationSpace
@@ -208,7 +202,13 @@ class SweepRunner:
             kernel, space, mode=self._mode
         )
         values = np.asarray(grid.items_per_second, dtype=np.float64)
-        reason = self._row_defect(values, space)
+        if values.shape != space.shape:
+            reason = (
+                f"engine returned shape {values.shape}, "
+                f"expected {space.shape}"
+            )
+        else:
+            reason = self._row_defects(values[np.newaxis]).get(0)
         if reason is not None:
             raise SimulationError(kernel.full_name, reason)
         return values

@@ -112,6 +112,15 @@ def axis_slice(
     )
 
 
+def axis_lines(dataset: ScalingDataset, axis: Axis) -> np.ndarray:
+    """Every kernel's performance along *axis*, the other two knobs at
+    their maxima: a ``(kernels, n)`` view of the perf tensor whose rows
+    are the :func:`axis_slice` default lines."""
+    index: list = [slice(None), -1, -1, -1]
+    index[_AXIS_DIM[axis] + 1] = slice(None)
+    return dataset.perf[tuple(index)]
+
+
 def clock_surface(
     dataset: ScalingDataset,
     kernel_name: str,

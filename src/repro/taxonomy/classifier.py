@@ -19,7 +19,7 @@ from repro.taxonomy.categories import (
     TaxonomyLabel,
     categorise,
 )
-from repro.taxonomy.features import extract_features
+from repro.taxonomy.features import ScalingFeatures, extract_features
 
 
 @dataclass(frozen=True)
@@ -86,32 +86,32 @@ class TaxonomyResult:
 class TaxonomyClassifier:
     """Rule-based classifier over scaling datasets."""
 
+    @staticmethod
+    def _label(features: ScalingFeatures) -> TaxonomyLabel:
+        cu, engine, memory = (
+            classify_axis(f)
+            for f in (features.cu, features.engine, features.memory)
+        )
+        category = categorise(features, cu, engine, memory)
+        return TaxonomyLabel(
+            features.kernel_name, category, cu, engine, memory, features
+        )
+
     def classify_kernel(
         self, dataset: ScalingDataset, kernel_name: str
     ) -> TaxonomyLabel:
         """Label a single kernel."""
-        features = extract_features(dataset, kernel_name)
-        cu = classify_axis(features.cu)
-        engine = classify_axis(features.engine)
-        memory = classify_axis(features.memory)
-        category = categorise(features, cu, engine, memory)
-        return TaxonomyLabel(
-            kernel_name=kernel_name,
-            category=category,
-            cu_behaviour=cu,
-            engine_behaviour=engine,
-            memory_behaviour=memory,
-            features=features,
-        )
+        return self._label(extract_features(dataset, kernel_name))
 
     def classify(self, dataset: ScalingDataset) -> TaxonomyResult:
         """Label every kernel of *dataset* (total: every kernel gets
-        exactly one category)."""
-        labels = tuple(
-            self.classify_kernel(dataset, name)
-            for name in dataset.kernel_names
-        )
-        return TaxonomyResult(labels=labels)
+        exactly one category), from one batched feature pass.
+
+        The pass goes through :func:`extract_features`, the name the
+        benchmark harness times as the feature-extraction layer.
+        """
+        features = extract_features(dataset)
+        return TaxonomyResult(labels=tuple(map(self._label, features)))
 
 
 def classify(dataset: ScalingDataset) -> TaxonomyResult:

@@ -15,6 +15,11 @@ curve* of each knob (other knobs pinned at maximum):
 * **monotonicity violation** — largest relative drop between adjacent
   points.
 
+All kernels are computed in one batched pass: :func:`_axis_features`
+works on a whole ``(kernels, n)`` line matrix per axis
+(:func:`repro.sweep.views.axis_lines`). One kernel and one slice are
+the same pass over a one-row matrix.
+
 These are the quantities the per-axis behaviour rules in
 :mod:`repro.taxonomy.axis` threshold on.
 """
@@ -23,37 +28,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ClassificationError
 from repro.sweep.dataset import ScalingDataset
-from repro.sweep.views import Axis, AxisSlice, axis_slice
+from repro.sweep.views import (
+    Axis,
+    AxisSlice,
+    axis_lines,
+    axis_values,
+    end_to_end_speedups,
+)
 
 #: A curve is "at its maximum" once it reaches this fraction of it.
 KNEE_THRESHOLD = 0.95
-
-
-def _median3(curve: Tuple[float, ...]) -> Tuple[float, ...]:
-    """3-point median filter, endpoints preserved.
-
-    Identity on monotone curves (the common case), but removes
-    single-point measurement noise and quantisation ripple that would
-    otherwise flip threshold features (drop-from-peak, end slope) —
-    see the ``benchmarks/test_ablation_noise.py`` robustness study.
-    """
-    if len(curve) < 3:
-        return curve
-    arr = np.asarray(curve, dtype=np.float64)
-    windows = np.stack((arr[:-2], arr[1:-1], arr[2:]))
-    middles = np.sort(windows, axis=0)[1]
-    return (
-        (curve[0],)
-        + tuple(float(v) for v in middles)
-        + (curve[-1],)
-    )
-
 
 @dataclass(frozen=True)
 class AxisFeatures:
@@ -106,10 +96,22 @@ class ScalingFeatures:
         return flat
 
 
-def _tail_slope(
-    knobs: Tuple[float, ...], speedup: Tuple[float, ...]
-) -> float:
-    """Log-log slope over the last half of the curve (OLS).
+def _median3(speedup: np.ndarray) -> np.ndarray:
+    """Row-wise 3-point median filter, endpoints preserved.
+
+    Identity on monotone curves (the common case), but removes
+    single-point measurement noise and quantisation ripple that would
+    otherwise flip threshold features (drop-from-peak, end slope) —
+    see the ``benchmarks/test_ablation_noise.py`` robustness study.
+    """
+    windows = np.stack((speedup[:, :-2], speedup[:, 1:-1], speedup[:, 2:]))
+    smoothed = speedup.copy()
+    smoothed[:, 1:-1] = np.sort(windows, axis=0)[1]
+    return smoothed
+
+
+def _tail_slope(knobs: Sequence[float], speedup: np.ndarray) -> np.ndarray:
+    """Row-wise log-log slope over the last half of each curve (OLS).
 
     The "is the knob still paying off at the top?" question is asked
     of noisy data in the original study's setting; a two-point end
@@ -118,86 +120,94 @@ def _tail_slope(
     least two) averages that noise down while still localising the
     question to the top of the axis.
     """
-    count = max(2, math.ceil(len(speedup) / 2))
-    xs = np.log(np.asarray(knobs[-count:], dtype=np.float64))
-    ys = np.log(
-        np.maximum(np.asarray(speedup[-count:], dtype=np.float64), 1e-12)
+    count = max(2, math.ceil(speedup.shape[1] / 2))
+    xs = np.log(knobs[-count:])
+    ys = np.log(np.maximum(speedup[:, -count:], 1e-12))
+    # sum / count is exactly what ndarray.mean computes, minus its
+    # per-call overhead (this runs once per axis per request).
+    dx = xs - xs.sum() / count
+    dy = ys - ys.sum(axis=1, keepdims=True) / count
+    return (dx * dy).sum(axis=1) / (dx * dx).sum()
+
+
+def _axis_features(
+    axis: Axis, knob_values: Sequence[float], perf: np.ndarray
+) -> List[AxisFeatures]:
+    """:class:`AxisFeatures` of every row of a ``(kernels, n)`` line
+    matrix along *axis*."""
+    n = perf.shape[1]
+    if n < 2:
+        raise ClassificationError(
+            f"axis {axis.value} has {n} point(s); "
+            "feature extraction needs at least 2"
+        )
+    base = perf[:, :1]
+    gain = perf[:, -1] / base[:, 0]
+    peak_gain = perf.max(axis=1) / base[:, 0]
+    knob_ratio = knob_values[-1] / knob_values[0]
+
+    speedup = _median3(perf / base)
+    peak = speedup.max(axis=1)
+    end_elasticity = _tail_slope(knob_values, speedup)
+    knee_position = (
+        (speedup >= KNEE_THRESHOLD * peak[:, None]).argmax(axis=1)
+        / (n - 1)
     )
-    dx = xs - xs.mean()
-    dy = ys - ys.mean()
-    return float((dx * dy).sum() / (dx * dx).sum())
+    drop_from_peak = 1.0 - speedup[:, -1] / peak
+    before, after = speedup[:, :-1], speedup[:, 1:]
+    max_adjacent_drop = np.where(
+        after < before, 1.0 - after / before, 0.0
+    ).max(axis=1)
+
+    # math.log, not np.log: the two differ in the last bit on rare
+    # inputs, and elasticity sits right on the behaviour thresholds.
+    log_ratio = math.log(knob_ratio)
+    elasticity = [math.log(g) / log_ratio for g in gain.tolist()]
+    columns = (  # AxisFeatures' fields after ``axis``, in order
+        gain.tolist(), peak_gain.tolist(), [knob_ratio] * len(elasticity),
+        elasticity, end_elasticity.tolist(), knee_position.tolist(),
+        drop_from_peak.tolist(), max_adjacent_drop.tolist(),
+    )
+    return [AxisFeatures(axis, *row) for row in zip(*columns)]
 
 
 def axis_features_from_slice(slice_: AxisSlice) -> AxisFeatures:
     """Compute :class:`AxisFeatures` from one normalised slice."""
-    knobs = slice_.knob_values
-    if len(slice_.speedup) < 2:
-        raise ClassificationError(
-            f"axis {slice_.axis.value} has {len(slice_.speedup)} "
-            "point(s); feature extraction needs at least 2"
-        )
-    speedup = _median3(slice_.speedup)
-
-    gain = slice_.gain
-    peak = max(speedup)
-    peak_gain = slice_.peak_gain
-    knob_ratio = slice_.knob_ratio
-
-    elasticity = math.log(gain) / math.log(knob_ratio)
-    end_elasticity = _tail_slope(knobs, speedup)
-
-    knee_index = next(
-        i for i, s in enumerate(speedup) if s >= KNEE_THRESHOLD * peak
-    )
-    knee_position = knee_index / (len(speedup) - 1)
-
-    drop_from_peak = 1.0 - speedup[-1] / peak
-    adjacent_drops = [
-        1.0 - b / a for a, b in zip(speedup, speedup[1:]) if b < a
-    ]
-    max_adjacent_drop = max(adjacent_drops, default=0.0)
-
-    return AxisFeatures(
-        axis=slice_.axis,
-        gain=gain,
-        peak_gain=peak_gain,
-        knob_ratio=knob_ratio,
-        elasticity=elasticity,
-        end_elasticity=end_elasticity,
-        knee_position=knee_position,
-        drop_from_peak=drop_from_peak,
-        max_adjacent_drop=max_adjacent_drop,
-    )
+    perf = np.asarray(slice_.perf, dtype=np.float64).reshape(1, -1)
+    return _axis_features(slice_.axis, slice_.knob_values, perf)[0]
 
 
 def extract_features(
-    dataset: ScalingDataset, kernel_name: str
-) -> ScalingFeatures:
-    """Extract all scaling features for one kernel.
+    dataset: ScalingDataset, kernel_name: Optional[str] = None
+) -> Union[ScalingFeatures, Tuple[ScalingFeatures, ...]]:
+    """Extract all scaling features for one kernel, or for every kernel
+    row (as :func:`extract_all_features`) when *kernel_name* is None.
 
     Each axis slice pins the other two knobs at their maxima, matching
     the paper's presentation (and making the axes' effects comparable:
     every slice ends at the same flagship configuration).
     """
-    per_axis = {
-        axis: axis_features_from_slice(axis_slice(dataset, kernel_name, axis))
+    if kernel_name is None:
+        rows, names = slice(None), dataset.kernel_names
+    else:
+        row = dataset.row_index(kernel_name)
+        rows, names = slice(row, row + 1), [kernel_name]
+    cu, engine, memory = (
+        _axis_features(
+            axis, axis_values(dataset, axis), axis_lines(dataset, axis)[rows]
+        )
         for axis in Axis
-    }
-    cube = dataset.kernel_cube(kernel_name)
-    end_to_end = float(cube[-1, -1, -1] / cube[0, 0, 0])
-    return ScalingFeatures(
-        kernel_name=kernel_name,
-        cu=per_axis[Axis.CU],
-        engine=per_axis[Axis.ENGINE],
-        memory=per_axis[Axis.MEMORY],
-        end_to_end_gain=end_to_end,
     )
+    end_to_end = end_to_end_speedups(dataset)[rows].tolist()
+    features = tuple(
+        ScalingFeatures(*fields)  # in declaration order
+        for fields in zip(names, cu, engine, memory, end_to_end)
+    )
+    return features if kernel_name is None else features[0]
 
 
 def extract_all_features(
     dataset: ScalingDataset,
 ) -> Tuple[ScalingFeatures, ...]:
-    """Features for every kernel row, in dataset order."""
-    return tuple(
-        extract_features(dataset, name) for name in dataset.kernel_names
-    )
+    """Features for every kernel row, in dataset order, in one pass."""
+    return extract_features(dataset)

@@ -15,15 +15,16 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
+from repro.kernels.kernel import Kernel
 from repro.gpu import GpuSimulator
 from repro.gpu.engine import INTERVAL_BATCH_DESCRIPTOR
 from repro.gpu.families import APU_SPACE
 from repro.gpu.interval_batch import BatchIntervalModel
+import repro.gpu.study_mt as study_mt_module
 from repro.gpu.study_mt import StudyMTModel
 import repro.kernels.pack as pack_module
 from repro.kernels.pack import (
     KernelPack,
-    catalog_fingerprint,
     clear_pack_cache,
     memoized_pack,
 )
@@ -334,8 +335,87 @@ class TestMemoizedPack:
         assert constructions == [len(kernels)]
         clear_pack_cache()
 
-    def test_fingerprint_distinguishes_catalogs(self):
-        rodinia = catalog_fingerprint(all_kernels("rodinia"))
-        parboil = catalog_fingerprint(all_kernels("parboil"))
-        assert rodinia != parboil
-        assert rodinia == catalog_fingerprint(all_kernels("rodinia"))
+    def test_identity_key_distinguishes_catalogs(self):
+        clear_pack_cache()
+        rodinia = all_kernels("rodinia")
+        parboil = all_kernels("parboil")
+        assert memoized_pack(rodinia) is not memoized_pack(parboil)
+        assert_packs_equal(memoized_pack(rodinia), rodinia)
+        assert_packs_equal(memoized_pack(parboil), parboil)
+        assert_packs_equal(memoized_pack(rodinia[::-1]), rodinia[::-1])
+        # Equal content in distinct objects: never a stale pack.
+        copies = [Kernel.from_dict(k.to_dict()) for k in rodinia]
+        assert copies == rodinia
+        assert all(c is not k for c, k in zip(copies, rodinia))
+        assert_packs_equal(memoized_pack(copies), rodinia)
+        clear_pack_cache()
+
+
+def assert_packs_equal(pack, kernels):
+    """*pack* holds exactly what packing *kernels* afresh would."""
+    fresh = KernelPack.from_kernels(kernels)
+    assert pack.names == fresh.names
+    assert pack.unpack() == list(kernels)
+    for field in ("characteristics", "geometry", "resources"):
+        mine, theirs = getattr(pack, field), getattr(fresh, field)
+        assert mine.keys() == theirs.keys()
+        for name in mine:
+            np.testing.assert_array_equal(mine[name], theirs[name])
+
+
+class TestClose:
+    """Closing releases the study-mt pool; nothing else changes."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        # Size the default study-mt pool to two workers on any host.
+        monkeypatch.setattr(
+            study_mt_module.multiprocessing, "cpu_count", lambda: 3
+        )
+
+    def test_simulator_close_releases_pool(self):
+        kernels = all_kernels("rodinia")
+        space = reduced_space(2, 2, 2)
+        sim = GpuSimulator("study-mt")
+        engine = sim._study
+        try:
+            first = sim.simulate_study(kernels, space)
+            if not engine.last_stats.used_pool:
+                pytest.skip("process pools unavailable in this sandbox")
+            sim.close()
+            assert engine._executor._pool is None
+            second = sim.simulate_study(kernels, space)
+            assert engine.last_stats.used_pool
+            assert engine._executor._pool is not None
+        finally:
+            sim.close()
+        assert_study_bit_exact(second, first)
+        assert_study_bit_exact(second, oracle_study(kernels, space))
+
+    def test_runner_close_releases_pool(self):
+        runner = SweepRunner("study-mt", grid_mode="study")
+        engine = runner.simulator._study
+        runner.run(all_kernels("rodinia"), reduced_space(2, 2, 2))
+        runner.close()
+        assert engine._executor._pool is None
+
+    def test_closed_simulator_drops_without_resource_warning(self):
+        import gc
+        import warnings
+
+        sim = GpuSimulator("study-mt")
+        sim.simulate_study(all_kernels("rodinia"), reduced_space(2, 2, 2))
+        sim.close()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del sim
+            gc.collect()
+        assert not [
+            w for w in caught if issubclass(w.category, ResourceWarning)
+        ]
+
+    def test_close_without_pool_is_harmless(self):
+        for engine in ("interval", "event", "study-mt"):
+            sim = GpuSimulator(engine)
+            sim.close()
+            sim.close()

@@ -6,12 +6,26 @@ import pytest
 from repro.errors import DatasetError
 from repro.sweep import (
     Axis,
+    axis_lines,
     axis_slice,
     axis_values,
     clock_surface,
     end_to_end_speedups,
     normalised_cube,
 )
+
+
+class TestAxisLines:
+    def test_rows_are_default_slices(self, archetype_dataset):
+        names = archetype_dataset.kernel_names
+        for axis in Axis:
+            lines = axis_lines(archetype_dataset, axis)
+            assert lines.shape == (
+                len(names), len(axis_values(archetype_dataset, axis))
+            )
+            for name, line in zip(names, lines):
+                slice_ = axis_slice(archetype_dataset, name, axis)
+                assert tuple(line.tolist()) == slice_.perf
 
 
 class TestAxisSlice:

@@ -97,6 +97,27 @@ class TestResultApi:
         ]
 
 
+class TestFeaturePass:
+    def test_classify_extracts_features_once(
+        self, archetype_dataset, monkeypatch
+    ):
+        """``classify`` makes one batched call through the module's
+        ``extract_features`` name, which the benchmark's tracer wraps."""
+        from repro.taxonomy import classifier
+
+        calls = []
+        extract = classifier.extract_features
+
+        def counting(*args):
+            calls.append(args)
+            return extract(*args)
+
+        monkeypatch.setattr(classifier, "extract_features", counting)
+        result = classifier.classify(archetype_dataset)
+        assert calls == [(archetype_dataset,)]
+        assert len(result.labels) == archetype_dataset.num_kernels
+
+
 class TestPaperScale:
     def test_every_category_populated_except_mixed(self, paper_taxonomy):
         counts = paper_taxonomy.category_counts()

@@ -2,11 +2,26 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import ClassificationError
-from repro.sweep.views import Axis, AxisSlice
-from repro.taxonomy import axis_features_from_slice, extract_features
+from repro.gpu.uarch import family_names
+from repro.sweep.dataset import KernelRecord, ScalingDataset
+from repro.sweep.space import ConfigurationSpace
+from repro.sweep.views import Axis, AxisSlice, axis_slice
+from repro.taxonomy import (
+    axis_features_from_slice,
+    categorise,
+    classify,
+    classify_axis,
+    extract_all_features,
+    extract_features,
+)
+from tests.taxonomy import feature_oracle
 
 
 def make_slice(perf, knobs=None, axis=Axis.CU):
@@ -109,11 +124,11 @@ class TestExtractFeatures:
 
 
 class TestVectorizedHelpers:
-    """The NumPy forms of ``_median3``/``_tail_slope`` against their
-    original pure-Python definitions: the median filter must be exact;
-    the OLS slope agrees to 1 ulp (NumPy's SIMD ``log`` can differ
-    from libm's by one bit on rare inputs — verified label-preserving
-    over the full catalog in the study engine tests)."""
+    """The batched ``_median3``/``_tail_slope`` against their original
+    pure-Python definitions: the median filter must be exact; the OLS
+    slope agrees to 1 ulp (NumPy's SIMD ``log`` can differ from libm's
+    by one bit on rare inputs — verified label-preserving over the full
+    catalog in the study engine tests)."""
 
     @staticmethod
     def _median3_ref(curve):
@@ -145,58 +160,172 @@ class TestVectorizedHelpers:
 
         values = (0.7, 1.0, 1.3, 1.31, 2.5, 0.2)
         for n in (1, 2, 3, 5):
-            for curve in itertools.permutations(values, n):
-                assert _median3(curve) == self._median3_ref(curve)
+            curves = list(itertools.permutations(values, n))
+            smoothed = _median3(np.array(curves))
+            for curve, row in zip(curves, smoothed.tolist()):
+                assert tuple(row) == self._median3_ref(curve)
 
     def test_median3_short_curves_are_identity(self):
         from repro.taxonomy.features import _median3
 
-        assert _median3((1.0,)) == (1.0,)
-        assert _median3((1.0, 2.0)) == (1.0, 2.0)
+        assert _median3(np.array([[1.0]])).tolist() == [[1.0]]
+        assert _median3(np.array([[1.0, 2.0]])).tolist() == [[1.0, 2.0]]
 
     def test_tail_slope_matches_reference_within_ulp(self):
-        import numpy as np
-
         from repro.taxonomy.features import _tail_slope
 
         rng = np.random.default_rng(7)
         for n in (2, 3, 5, 6, 11):
-            for _ in range(200):
-                knobs = tuple(
-                    sorted(rng.uniform(100.0, 1500.0, size=n))
-                )
-                speedup = tuple(rng.uniform(0.0, 8.0, size=n))
-                got = _tail_slope(knobs, speedup)
-                want = self._tail_slope_ref(knobs, speedup)
+            knobs = np.sort(rng.uniform(100.0, 1500.0, size=(200, n)))
+            speedup = rng.uniform(0.0, 8.0, size=(200, n))
+            # One knob vector per curve, and one for all curves at once.
+            for k, s in zip(knobs, speedup):
+                got = _tail_slope(k, s[np.newaxis])[0]
+                want = self._tail_slope_ref(tuple(k), tuple(s))
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
+            for got, s in zip(_tail_slope(knobs[0], speedup), speedup):
+                want = self._tail_slope_ref(tuple(knobs[0]), tuple(s))
                 assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
     def test_full_catalog_features_unchanged(self):
         """The vectorization must not move any feature the taxonomy
         thresholds read, across every catalog kernel's curves."""
-        import numpy as np
-
         from repro.gpu import GpuSimulator
         from repro.suites import all_kernels
         from repro.sweep import PAPER_SPACE
-        from repro.sweep.dataset import KernelRecord, ScalingDataset
-        from repro.sweep.views import axis_slice
+        from repro.sweep.views import axis_values
         from repro.taxonomy.features import _median3, _tail_slope
 
         kernels = all_kernels()
         study = GpuSimulator().simulate_study(kernels, PAPER_SPACE)
-        records = [
-            KernelRecord.from_full_name(k.full_name) for k in kernels
-        ]
+        perf = study.items_per_second
         dataset = ScalingDataset(
-            PAPER_SPACE, records, study.items_per_second
+            PAPER_SPACE,
+            [KernelRecord.from_full_name(k.full_name) for k in kernels],
+            perf,
         )
         worst = 0.0
-        for kernel in kernels:
-            for axis in Axis:
-                sl = axis_slice(dataset, kernel.full_name, axis)
-                smoothed = _median3(sl.speedup)
-                assert smoothed == self._median3_ref(sl.speedup)
-                got = _tail_slope(sl.knob_values, smoothed)
-                want = self._tail_slope_ref(sl.knob_values, smoothed)
+        for axis in Axis:
+            knobs = axis_values(dataset, axis)
+            lines = np.array([
+                axis_slice(dataset, k.full_name, axis).perf for k in kernels
+            ])
+            smoothed = _median3(lines / lines[:, :1])
+            slopes = _tail_slope(np.asarray(knobs), smoothed)
+            for line, row, got in zip(lines, smoothed, slopes):
+                speedup = tuple(float(p / line[0]) for p in line)
+                assert tuple(row.tolist()) == self._median3_ref(speedup)
+                want = self._tail_slope_ref(knobs, tuple(row.tolist()))
                 worst = max(worst, abs(got - want))
         assert worst < 1e-15
+
+
+def _oracle_labels(dataset):
+    """Labels from the per-slice oracle's features."""
+    labels = []
+    for features in feature_oracle.extract_all_features(dataset):
+        cu, engine, memory = (
+            classify_axis(features.axis_features(axis)) for axis in Axis
+        )
+        labels.append((
+            features.kernel_name,
+            categorise(features, cu, engine, memory),
+            (cu, engine, memory),
+        ))
+    return labels
+
+
+def _labels(result):
+    return [
+        (label.kernel_name, label.category, label.behaviours)
+        for label in result.labels
+    ]
+
+
+@pytest.fixture(scope="module", params=family_names())
+def family_dataset(request):
+    """The whole catalog on one family's canonical grid."""
+    from repro.gpu.interval_batch import BatchIntervalModel
+    from repro.gpu.uarch import get_family
+    from repro.kernels.pack import KernelPack
+    from repro.suites import all_kernels
+
+    kernels = all_kernels()
+    space = get_family(request.param).space
+    study = BatchIntervalModel().simulate_study(
+        KernelPack.from_kernels(kernels), space
+    )
+    return ScalingDataset(
+        space,
+        [KernelRecord.from_full_name(k.full_name) for k in kernels],
+        study.items_per_second,
+    )
+
+
+class TestBatchedMatchesOracle:
+    """The batched pass reproduces the per-slice definitions exactly."""
+
+    def test_catalog_features_equal(self, family_dataset):
+        assert extract_all_features(family_dataset) == (
+            feature_oracle.extract_all_features(family_dataset)
+        )
+
+    def test_no_kernel_name_is_the_batched_pass(self, family_dataset):
+        assert extract_features(family_dataset) == (
+            extract_all_features(family_dataset)
+        )
+
+    def test_catalog_labels_equal(self, family_dataset):
+        assert _labels(classify(family_dataset)) == (
+            _oracle_labels(family_dataset)
+        )
+
+    def test_one_row_path_equal(self, family_dataset):
+        for name in family_dataset.kernel_names[::37]:
+            assert extract_features(family_dataset, name) == (
+                feature_oracle.extract_features(family_dataset, name)
+            )
+            sl = axis_slice(family_dataset, name, Axis.MEMORY)
+            assert axis_features_from_slice(sl) == (
+                feature_oracle.axis_features_from_slice(sl)
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_generated_datasets_equal(self, data):
+        def knob_axis(integers):
+            values = data.draw(
+                st.lists(
+                    st.integers(1, 4000) if integers
+                    else st.floats(10.0, 4000.0),
+                    min_size=2, max_size=11, unique=True,
+                )
+            )
+            return tuple(sorted(values))
+
+        space = ConfigurationSpace(
+            cu_counts=knob_axis(True),
+            engine_mhz=knob_axis(False),
+            memory_mhz=knob_axis(False),
+        )
+        n_kernels = data.draw(st.integers(1, 4))
+        perf = data.draw(
+            arrays(
+                np.float64,
+                (n_kernels,) + space.shape,
+                elements=st.floats(1e-3, 1e6),
+            )
+        )
+        dataset = ScalingDataset(
+            space,
+            [KernelRecord.from_full_name(f"h/p.k{i}")
+             for i in range(n_kernels)],
+            perf,
+        )
+        # Compared by repr, which is exact for floats and also matches
+        # NaN with NaN: knob values equal in log (10.0 and
+        # 10.000000000000002) give a 0/0 tail slope on both sides.
+        assert repr(extract_all_features(dataset)) == repr(
+            feature_oracle.extract_all_features(dataset)
+        )
+        assert _labels(classify(dataset)) == _oracle_labels(dataset)

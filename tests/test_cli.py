@@ -79,6 +79,27 @@ class TestCommands:
         assert main(["sweep", "--out", str(out)]) == 0
         assert seen["grid_mode"] == "batch"
 
+    def test_sweep_closes_its_runner(self, tmp_path, monkeypatch):
+        # A study-mt runner holds a process pool; the command must
+        # release it rather than leave it to garbage collection.
+        import repro.sweep.runner as runner_module
+
+        self._shrink_sweep(monkeypatch, count=2)
+        closed = []
+        real_runner = runner_module.SweepRunner
+
+        class RecordingRunner(real_runner):
+            def close(self):
+                closed.append(self.engine_name)
+                super().close()
+
+        monkeypatch.setattr(runner_module, "SweepRunner",
+                            RecordingRunner)
+        out = tmp_path / "data.npz"
+        assert main(["sweep", "--out", str(out), "--engine", "study-mt",
+                     "--engine-mode", "study"]) == 0
+        assert closed == ["study-mt"]
+
     def test_sweep_resume_uses_journal(self, tmp_path, capsys,
                                        monkeypatch):
         self._shrink_sweep(monkeypatch)
@@ -114,6 +135,19 @@ class TestCommands:
         path = dataset.save(tmp_path / "d.npz")
         assert main(["classify", "--data", str(path)]) == 0
         assert "Taxonomy classification" in capsys.readouterr().out
+
+    def test_classify_matches_pinned_paper_labels(
+        self, tmp_path, capsys, paper_dataset
+    ):
+        # The same check CI's sweep-smoke step runs with diff: every
+        # catalog kernel's category and per-axis behaviours, pinned.
+        from pathlib import Path
+
+        pinned = Path(__file__).parent / "data" / "paper_labels.txt"
+        path = paper_dataset.save(tmp_path / "paper.npz")
+        capsys.readouterr()
+        assert main(["classify", "--data", str(path), "-v"]) == 0
+        assert capsys.readouterr().out == pinned.read_text()
 
     def test_classify_drops_quarantined_rows(self, tmp_path, capsys):
         import numpy as np
