@@ -17,7 +17,7 @@ Usage (installed as ``gpuscale`` or via ``python -m repro.cli``)::
     gpuscale coschedule rodinia/bfs.kernel1 rodinia/nw.kernel1
     gpuscale coschedule --matrix        # class-composition matrix
     gpuscale cache info                 # sweep result cache contents
-    gpuscale cache clear                # drop every cached sweep
+    gpuscale cache clear                # drop every cached entry
 
 ``sweep`` runs as a fault-tolerant campaign: progress is journaled to
 ``<out>.journal`` chunk by chunk, a failing kernel is quarantined

@@ -5,14 +5,13 @@ this package every consumer had to fork a CLI run. :mod:`repro.service`
 turns the engine registry into an always-on building block shaped like
 an inference stack:
 
-* :mod:`repro.service.batcher` — an asyncio micro-batcher that
-  coalesces concurrent simulate queries into single grid/study engine
-  calls, bit-exact versus direct per-request calls.
+* :mod:`repro.service.batcher` — the query kinds and an asyncio
+  micro-batcher that coalesces concurrent queries into the fewest
+  engine calls, bit-exact versus direct per-request calls.
 * :mod:`repro.service.server` — a stdlib-only asyncio HTTP server
-  exposing ``/v1/simulate``, ``/v1/classify``, ``/v1/whatif``,
-  ``/v1/engines``, ``/healthz``, and ``/metrics``.
-* :mod:`repro.service.schema` — versioned request validation with
-  structured 400 errors.
+  with one request pipeline for every endpoint in its table.
+* :mod:`repro.service.schema` — versioned request validation;
+  :mod:`repro.service.errors` — the one exception-to-status table.
 * :mod:`repro.service.metrics` — counters and latency/batch-size
   histograms rendered in Prometheus text format.
 * :mod:`repro.service.router` / :mod:`repro.service.worker` /

@@ -23,10 +23,16 @@ attributed to the query that caused it and *only* that query — batch
 peers get their results. A failing ``simulate_study`` is retried
 kernel by kernel so one poisoned kernel cannot take down its batch.
 
-Grid results are read through and written back to the content-addressed
-sweep cache (:mod:`repro.sweep.cache`) when one is supplied, keyed as
-single-kernel datasets — a repeated grid query never touches the
-engine again, across restarts.
+Each query kind is one frozen dataclass that declares everything the
+service needs to know about it: its ``shape`` label (the engine-call
+metric label and its kind on the fleet wire), its fleet ``shard_key``,
+whether a slow answer may be ``hedged``, how it evaluates itself, and,
+for the ``cached`` kinds, how it reads and writes its entry in the
+content-addressed sweep cache (:mod:`repro.sweep.cache`) — grid
+surfaces as single-kernel datasets, energy surfaces as their arrays —
+so a repeated query never touches the engine again, across restarts.
+The batcher itself knows one kind by name: grid queries, which it
+coalesces per space.
 
 Backpressure is explicit: a full admission queue raises
 :class:`OverloadError` (HTTP 429), a query that waits longer than its
@@ -40,14 +46,16 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ReproError
 from repro.gpu.config import HardwareConfig
 from repro.kernels.kernel import Kernel
+from repro.sweep.cache import sweep_fingerprint
 from repro.sweep.space import ConfigurationSpace
 
 #: Default coalescing window (milliseconds).
@@ -58,6 +66,9 @@ DEFAULT_MAX_BATCH = 64
 
 #: Default admission-queue bound.
 DEFAULT_QUEUE_LIMIT = 1024
+
+#: Maps a configuration space to its fleet shard digest.
+SpaceDigest = Callable[[ConfigurationSpace], str]
 
 
 class OverloadError(ReproError):
@@ -101,13 +112,85 @@ class PointQuery:
     kernel: Kernel
     config: HardwareConfig
 
+    #: The kind's label on the wire and in ``gpuscale_engine_calls_total``.
+    shape: ClassVar[str] = "point"
+    #: Whether a slow answer may be hedged onto a second fleet worker.
+    hedged: ClassVar[bool] = False
+    #: Whether answers read through and write back to the sweep cache.
+    cached: ClassVar[bool] = False
+
+    def shard_key(self, space_digest: SpaceDigest) -> str:
+        """Points shard by ``(kernel, config)`` identity."""
+        config = self.config
+        return (
+            f"p|{self.kernel.full_name}|{config.cu_count}"
+            f"|{config.engine_mhz}|{config.memory_mhz}"
+        )
+
+    def evaluate(self, batcher: "MicroBatcher") -> "PointResult":
+        result = batcher._simulator.simulate(self.kernel, self.config)
+        return PointResult(
+            kernel_name=self.kernel.full_name,
+            time_s=float(result.time_s),
+            items_per_second=float(result.items_per_second),
+        )
+
 
 @dataclass(frozen=True)
 class GridQuery:
-    """One (kernel, configuration space) surface evaluation."""
+    """One (kernel, configuration space) surface evaluation.
+
+    Grid queries sharing a space coalesce into one study call; see
+    :meth:`MicroBatcher._evaluate`.
+    """
 
     kernel: Kernel
     space: ConfigurationSpace
+
+    shape: ClassVar[str] = "grid"
+    hedged: ClassVar[bool] = True
+    cached: ClassVar[bool] = True
+
+    def shard_key(self, space_digest: SpaceDigest) -> str:
+        """Grids shard by ``(family, space, engine)`` alone, so every
+        query against one surface lands on one worker's batcher."""
+        return f"g|{space_digest(self.space)}"
+
+    def evaluate(self, batcher: "MicroBatcher") -> "GridResult":
+        grid = batcher._simulator.simulate_grid(self.kernel, self.space)
+        return self.result(grid.items_per_second)
+
+    def result(
+        self, items_per_second: Any, **provenance: Any
+    ) -> "GridResult":
+        """This query's answer around a throughput surface; *provenance*
+        sets ``from_cache``, ``fidelity`` and ``error_estimate``."""
+        return GridResult(
+            kernel_name=self.kernel.full_name,
+            items_per_second=np.asarray(items_per_second),
+            global_size=self.kernel.geometry.global_size,
+            **provenance,
+        )
+
+    def cache_load(self, cache: Any, fingerprint: str):
+        dataset = cache.load(fingerprint)
+        if dataset is None:
+            return None
+        return self.result(dataset.perf[0], from_cache=True)
+
+    def cache_store(
+        self, cache: Any, fingerprint: str, result: "GridResult"
+    ) -> None:
+        from repro.sweep.dataset import KernelRecord, ScalingDataset
+
+        cache.store(
+            fingerprint,
+            ScalingDataset(
+                self.space,
+                [KernelRecord.from_full_name(result.kernel_name)],
+                result.items_per_second[np.newaxis, ...],
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -123,6 +206,30 @@ class EnergyGridQuery:
     kernel: Kernel
     space: ConfigurationSpace
 
+    shape: ClassVar[str] = "energy"
+    hedged: ClassVar[bool] = True
+    cached: ClassVar[bool] = True
+
+    def shard_key(self, space_digest: SpaceDigest) -> str:
+        return f"e|{self.kernel.full_name}|{space_digest(self.space)}"
+
+    def evaluate(self, batcher: "MicroBatcher") -> "EnergyGridResult":
+        surface = batcher.energy_model.surfaces(self.kernel, self.space)
+        return _result_from(EnergyGridResult, surface)
+
+    def cache_load(self, cache: Any, fingerprint: str):
+        arrays = cache.load_energy(fingerprint)
+        if arrays is None:
+            return None
+        return EnergyGridResult(
+            kernel_name=self.kernel.full_name, from_cache=True, **arrays
+        )
+
+    def cache_store(
+        self, cache: Any, fingerprint: str, result: "EnergyGridResult"
+    ) -> None:
+        cache.store_energy(fingerprint, result)
+
 
 @dataclass(frozen=True)
 class PairGridQuery:
@@ -136,11 +243,47 @@ class PairGridQuery:
     kernel_b: Optional[Kernel]
     space: ConfigurationSpace
 
+    shape: ClassVar[str] = "pair"
+    hedged: ClassVar[bool] = True
+    cached: ClassVar[bool] = False
+
+    def shard_key(self, space_digest: SpaceDigest) -> str:
+        partner = "-" if self.kernel_b is None else self.kernel_b.full_name
+        return (
+            f"x|{self.kernel_a.full_name}|{partner}"
+            f"|{space_digest(self.space)}"
+        )
+
+    def evaluate(self, batcher: "MicroBatcher") -> "PairGridResult":
+        surface = batcher.coschedule_model.pair_surface(
+            self.kernel_a, self.kernel_b, self.space
+        )
+        return _result_from(PairGridResult, surface)
+
 
 Query = Union[PointQuery, GridQuery, EnergyGridQuery, PairGridQuery]
 
 #: Every query dataclass submit() admits.
 QUERY_TYPES = (PointQuery, GridQuery, EnergyGridQuery, PairGridQuery)
+
+#: Query classes by their ``shape`` label, which is also the wire kind.
+QUERY_KINDS = {cls.shape: cls for cls in QUERY_TYPES}
+
+
+def check_query(query: Any) -> None:
+    """Refuse anything that is not one of the query dataclasses."""
+    if not isinstance(query, QUERY_TYPES):
+        raise TypeError(f"not a query: {query!r}")
+
+
+def _result_from(cls: type, surface: Any) -> Any:
+    """A result dataclass filled from the model surface's same-named
+    attributes."""
+    return cls(**{
+        f.name: getattr(surface, f.name)
+        for f in fields(cls)
+        if hasattr(surface, f.name)
+    })
 
 
 @dataclass(frozen=True)
@@ -418,7 +561,7 @@ class MicroBatcher:
         query: Query,
         timeout: Optional[float] = None,
         deadline: Optional[float] = None,
-    ) -> Union[PointResult, GridResult]:
+    ) -> Any:
         """Enqueue *query*; await its result.
 
         *deadline* is an absolute ``time.monotonic()`` instant: once
@@ -433,8 +576,7 @@ class MicroBatcher:
         or draining, and :class:`ServiceTimeoutError` when the answer
         does not arrive within *timeout* seconds.
         """
-        if not isinstance(query, QUERY_TYPES):
-            raise TypeError(f"not a query: {query!r}")
+        check_query(query)
         if self._closed or self._queue is None:
             raise ServiceClosedError(
                 "service is shutting down; no new queries admitted"
@@ -579,46 +721,54 @@ class MicroBatcher:
         Returns ``(outcomes, shapes, cache_stats)`` where *outcomes*
         maps each query to ``("ok", result)`` or ``("err", exception)``
         — one entry per query, always, so a failure never leaks into a
-        peer's slot.
+        peer's slot. Each query evaluates itself, except that grid
+        queries sharing a space coalesce into one study call.
         """
         outcomes: Dict[Query, Tuple[str, Any]] = {}
         shapes: List[str] = []
         cache_stats = {"hit": 0, "miss": 0, "store": 0}
+        fingerprints: Dict[Query, str] = {}
         grids: Dict[ConfigurationSpace, List[GridQuery]] = {}
         for query in queries:
+            if self._cache is not None and query.cached:
+                fingerprint = sweep_fingerprint(
+                    [query.kernel], query.space, self._simulator
+                )
+                fingerprints[query] = fingerprint
+                try:
+                    cached = query.cache_load(self._cache, fingerprint)
+                except ReproError:
+                    cached = None
+                if cached is not None:
+                    cache_stats["hit"] += 1
+                    outcomes[query] = ("ok", cached)
+                    continue
+                cache_stats["miss"] += 1
             if isinstance(query, GridQuery):
                 grids.setdefault(query.space, []).append(query)
-            elif isinstance(query, EnergyGridQuery):
-                shapes.append("energy")
-                outcomes[query] = self._evaluate_energy(
-                    query, cache_stats
-                )
-            elif isinstance(query, PairGridQuery):
-                shapes.append("pair")
-                outcomes[query] = self._evaluate_pair(query)
             else:
-                shapes.append("point")
-                try:
-                    result = self._simulator.simulate(
-                        query.kernel, query.config
-                    )
-                    outcomes[query] = (
-                        "ok",
-                        PointResult(
-                            kernel_name=query.kernel.full_name,
-                            time_s=float(result.time_s),
-                            items_per_second=float(
-                                result.items_per_second
-                            ),
-                        ),
-                    )
-                except ReproError as exc:
-                    outcomes[query] = ("err", exc)
+                outcomes[query] = self._run(query, shapes)
         for space, group in grids.items():
-            self._evaluate_grid_group(
-                space, group, outcomes, shapes, cache_stats
-            )
+            self._evaluate_grid_group(space, group, outcomes, shapes)
+        for query, fingerprint in fingerprints.items():
+            status, result = outcomes[query]
+            if status == "ok" and not result.from_cache:
+                try:
+                    query.cache_store(self._cache, fingerprint, result)
+                except (ReproError, OSError):
+                    # The cache is an accelerator, never a dependency:
+                    # refuse nothing to the caller over a failed store.
+                    continue
+                cache_stats["store"] += 1
         return outcomes, shapes, cache_stats
+
+    def _run(self, query: Query, shapes: List[str]) -> Tuple[str, Any]:
+        """One engine call for one query, its failure kept to itself."""
+        shapes.append(query.shape)
+        try:
+            return ("ok", query.evaluate(self))
+        except ReproError as exc:
+            return ("err", exc)
 
     def _evaluate_grid_group(
         self,
@@ -626,276 +776,47 @@ class MicroBatcher:
         group: List[GridQuery],
         outcomes: Dict[Query, Tuple[str, Any]],
         shapes: List[str],
-        cache_stats: Dict[str, int],
     ) -> None:
-        """One space's grid queries: cache reads, then study/grid calls."""
-        pending: List[GridQuery] = []
-        fingerprints: Dict[GridQuery, str] = {}
-        for query in group:
-            cached = self._cache_load(query, space, fingerprints)
-            if cached is not None:
-                cache_stats["hit"] += 1
-                outcomes[query] = ("ok", cached)
-            else:
-                if self._cache is not None:
-                    cache_stats["miss"] += 1
-                pending.append(query)
-        if not pending:
-            return
-        supports_study = getattr(
-            self._simulator, "supports_study", False
-        )
-        if supports_study and len(pending) > 1:
+        """One space's uncached grid queries: one study call, or one
+        grid call each when that is not possible."""
+        supports_study = getattr(self._simulator, "supports_study", False)
+        if supports_study and len(group) > 1:
             shapes.append("study")
             try:
                 study = self._simulator.simulate_study(
-                    [q.kernel for q in pending], space
+                    [q.kernel for q in group], space
                 )
             except ReproError:
                 # Whole-study failures cannot be attributed to one
                 # kernel; isolate by retrying kernel by kernel below.
                 pass
             else:
-                for row, query in enumerate(pending):
-                    result = GridResult(
-                        kernel_name=query.kernel.full_name,
-                        items_per_second=np.asarray(
-                            study.items_per_second[row]
-                        ),
-                        global_size=query.kernel.geometry.global_size,
-                    )
-                    outcomes[query] = ("ok", result)
-                    cache_stats["store"] += self._cache_store(
-                        query, space, fingerprints, result
+                for row, query in enumerate(group):
+                    outcomes[query] = (
+                        "ok", query.result(study.items_per_second[row])
                     )
                 return
-        for query in pending:
-            shapes.append("grid")
-            try:
-                grid = self._simulator.simulate_grid(
-                    query.kernel, space
-                )
-            except ReproError as exc:
-                outcomes[query] = ("err", exc)
-                continue
-            result = GridResult(
-                kernel_name=query.kernel.full_name,
-                items_per_second=np.asarray(grid.items_per_second),
-                global_size=query.kernel.geometry.global_size,
-            )
-            outcomes[query] = ("ok", result)
-            cache_stats["store"] += self._cache_store(
-                query, space, fingerprints, result
-            )
+        for query in group:
+            outcomes[query] = self._run(query, shapes)
 
-    # -- sweep-cache integration ---------------------------------------
+    # -- models the energy and pair kinds evaluate on -------------------
 
-    def _fingerprint(
-        self,
-        query: GridQuery,
-        space: ConfigurationSpace,
-        fingerprints: Dict[GridQuery, str],
-    ) -> str:
-        from repro.sweep.cache import sweep_fingerprint
-
-        fingerprint = fingerprints.get(query)
-        if fingerprint is None:
-            fingerprint = sweep_fingerprint(
-                [query.kernel], space, self._simulator
-            )
-            fingerprints[query] = fingerprint
-        return fingerprint
-
-    def _cache_load(
-        self,
-        query: GridQuery,
-        space: ConfigurationSpace,
-        fingerprints: Dict[GridQuery, str],
-    ) -> Optional[GridResult]:
-        if self._cache is None:
-            return None
-        try:
-            dataset = self._cache.load(
-                self._fingerprint(query, space, fingerprints)
-            )
-        except ReproError:
-            return None
-        if dataset is None:
-            return None
-        return GridResult(
-            kernel_name=query.kernel.full_name,
-            items_per_second=dataset.perf[0],
-            global_size=query.kernel.geometry.global_size,
-            from_cache=True,
-        )
-
-    def _cache_store(
-        self,
-        query: GridQuery,
-        space: ConfigurationSpace,
-        fingerprints: Dict[GridQuery, str],
-        result: GridResult,
-    ) -> int:
-        """Best-effort write-back; returns 1 on a successful store."""
-        if self._cache is None:
-            return 0
-        from repro.sweep.dataset import KernelRecord, ScalingDataset
-
-        try:
-            dataset = ScalingDataset(
-                space,
-                [KernelRecord.from_full_name(result.kernel_name)],
-                result.items_per_second[np.newaxis, ...],
-            )
-            self._cache.store(
-                self._fingerprint(query, space, fingerprints), dataset
-            )
-        except (ReproError, OSError):
-            # The cache is an accelerator, never a dependency: refuse
-            # nothing to the caller over a failed write-back.
-            return 0
-        return 1
-
-    # -- energy and pair evaluation ------------------------------------
-
-    def _energy_model(self):
-        """The lazily-built vectorized energy model over our engine.
+    @cached_property
+    def energy_model(self):
+        """The vectorized energy model over our engine.
 
         Sharing the batcher's simulator keeps fidelity tiers, engine
         fingerprints and (in tests) engine call counters honest: an
         energy surface is exactly one ``simulate_grid`` on the same
         engine grid queries use.
         """
-        model = getattr(self, "_energy", None)
-        if model is None:
-            from repro.power.energy import EnergyModel
+        from repro.power.energy import EnergyModel
 
-            model = EnergyModel(simulator=self._simulator)
-            self._energy = model
-        return model
+        return EnergyModel(simulator=self._simulator)
 
-    def _coschedule_model(self):
-        """The lazily-built pair contention model (pure, no engine)."""
-        model = getattr(self, "_coschedule", None)
-        if model is None:
-            from repro.coschedule.model import CoScheduleModel
+    @cached_property
+    def coschedule_model(self):
+        """The pair contention model (pure, no engine)."""
+        from repro.coschedule.model import CoScheduleModel
 
-            model = CoScheduleModel()
-            self._coschedule = model
-        return model
-
-    def _evaluate_energy(
-        self, query: EnergyGridQuery, cache_stats: Dict[str, int]
-    ) -> Tuple[str, Any]:
-        """One energy surface: cache read-through, then one grid call."""
-        fingerprint: Optional[str] = None
-        if self._cache is not None:
-            fingerprint = self._fingerprint(query, query.space, {})
-            cached = self._energy_cache_load(query, fingerprint)
-            if cached is not None:
-                cache_stats["hit"] += 1
-                return ("ok", cached)
-            cache_stats["miss"] += 1
-        try:
-            surface = self._energy_model().surfaces(
-                query.kernel, query.space
-            )
-        except ReproError as exc:
-            return ("err", exc)
-        result = EnergyGridResult(
-            kernel_name=surface.kernel_name,
-            time_s=surface.time_s,
-            power_w=surface.power_w,
-            energy_j=surface.energy_j,
-            global_size=surface.global_size,
-        )
-        if fingerprint is not None:
-            cache_stats["store"] += self._energy_cache_store(
-                fingerprint, result
-            )
-        return ("ok", result)
-
-    def _evaluate_pair(self, query: PairGridQuery) -> Tuple[str, Any]:
-        """One co-scheduled pair surface (model-side, no engine call)."""
-        try:
-            surface = self._coschedule_model().pair_surface(
-                query.kernel_a, query.kernel_b, query.space
-            )
-        except ReproError as exc:
-            return ("err", exc)
-        return (
-            "ok",
-            PairGridResult(
-                kernel_a=surface.kernel_a,
-                kernel_b=surface.kernel_b,
-                time_a=surface.time_a,
-                time_b=surface.time_b,
-                solo_time_a=surface.solo_time_a,
-                solo_time_b=surface.solo_time_b,
-                makespan_s=surface.makespan_s,
-                power_w=surface.power_w,
-                energy_j=surface.energy_j,
-                global_size_a=surface.global_size_a,
-                global_size_b=surface.global_size_b,
-            ),
-        )
-
-    def _energy_path(self, fingerprint: str):
-        """Energy surfaces persist beside the sweep cache's datasets,
-        under their own prefix so the two namespaces never collide."""
-        return self._cache.cache_dir / f"energy_{fingerprint}.npz"
-
-    def _energy_cache_load(
-        self, query: EnergyGridQuery, fingerprint: str
-    ) -> Optional[EnergyGridResult]:
-        import zipfile
-
-        path = self._energy_path(fingerprint)
-        if not path.exists():
-            return None
-        try:
-            with np.load(path) as data:
-                return EnergyGridResult(
-                    kernel_name=query.kernel.full_name,
-                    time_s=np.asarray(data["time_s"]),
-                    power_w=np.asarray(data["power_w"]),
-                    energy_j=np.asarray(data["energy_j"]),
-                    global_size=int(data["global_size"]),
-                    from_cache=True,
-                )
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-            # Corrupt or truncated entries fall back to the engine.
-            return None
-
-    def _energy_cache_store(
-        self, fingerprint: str, result: EnergyGridResult
-    ) -> int:
-        """Atomic best-effort write-back; returns 1 on success."""
-        import os
-        import tempfile
-
-        path = self._energy_path(fingerprint)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, suffix=".npz.tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    np.savez(
-                        handle,
-                        time_s=result.time_s,
-                        power_w=result.power_w,
-                        energy_j=result.energy_j,
-                        global_size=np.int64(result.global_size),
-                    )
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return 0
-        return 1
+        return CoScheduleModel()

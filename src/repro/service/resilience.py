@@ -367,7 +367,7 @@ class BrownoutExecutor:
         same either way; the label tells the client which contract
         applied.
         """
-        from repro.service.batcher import GridQuery, GridResult
+        from repro.service.batcher import GridQuery
 
         if not isinstance(query, GridQuery):
             raise TypeError(
@@ -377,15 +377,11 @@ class BrownoutExecutor:
             self.start()
         loop = asyncio.get_running_loop()
 
-        def evaluate() -> GridResult:
-            import numpy as np
-
+        def evaluate() -> Any:
             engine = self._resolve()
             grid = engine.simulate_grid(query.kernel, query.space)
-            return GridResult(
-                kernel_name=query.kernel.full_name,
-                items_per_second=np.asarray(grid.items_per_second),
-                global_size=query.kernel.geometry.global_size,
+            return query.result(
+                grid.items_per_second,
                 fidelity=fidelity,
                 error_estimate=self.error_estimate(query.space),
             )

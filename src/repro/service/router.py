@@ -6,7 +6,8 @@ MicroBatcher` exposes (``start`` / ``submit`` / ``stop`` /
 ``pending``), which is the seam that lets :mod:`repro.service.server`
 run identically in both modes. Behind that surface it owns N spawned
 engine-worker processes (:mod:`repro.service.worker`), one socketpair
-each, and routes every validated query with a consistent-hash ring:
+each, and routes every validated query with a consistent-hash ring on
+the shard key its kind declares (``Query.shard_key``):
 
 * **grid queries** shard by the ``(space, engine)`` fingerprint — the
   same canonical-JSON hash the sweep cache keys on — so every query
@@ -54,23 +55,18 @@ import itertools
 import socket
 import time
 from multiprocessing import get_context
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.service import transport
 from repro.service.batcher import (
-    QUERY_TYPES,
     DeadlineExceededError,
     DrainRateEstimator,
-    EnergyGridQuery,
-    GridQuery,
     OverloadError,
-    PairGridQuery,
-    PointResult,
-    GridResult,
     Query,
     ServiceClosedError,
     ServiceTimeoutError,
+    check_query,
 )
 from repro.service.chaos import ChaosConfig
 from repro.service.metrics import render_fleet
@@ -540,13 +536,7 @@ class FleetExecutor:
             if entry.future.done():  # caller gave up while worker was down
                 handle.inflight.pop(request_id, None)
                 continue
-            self._send(
-                handle,
-                (
-                    "query", request_id, entry.payload,
-                    entry.timeout, entry.deadline,
-                ),
-            )
+            self._send_query(handle, request_id, entry)
 
     def _failover_all(self, handle: _WorkerHandle) -> None:
         """Move a down worker's in-flight work to ring neighbours.
@@ -565,10 +555,7 @@ class FleetExecutor:
             if target is None:
                 continue  # parked until respawn
             handle.inflight.pop(request_id, None)
-            dispatch.placements = [
-                p for p in dispatch.placements
-                if not (p[0] is handle and p[1] == request_id)
-            ]
+            self._drop_placement(dispatch, handle, request_id)
             self._place(dispatch, target)
 
     def _send(
@@ -659,6 +646,15 @@ class FleetExecutor:
             for index in self._ring.preference(self.shard_key(query))
         ]
 
+    def _first_eligible(
+        self, query: Query, now: float
+    ) -> Optional[_WorkerHandle]:
+        """The first live, breaker-closed worker in the shard's chain."""
+        for handle in self._candidates(query):
+            if handle.available and handle.breaker.allow(now):
+                return handle
+        return None
+
     def _pick_target(
         self,
         dispatch: _Dispatch,
@@ -687,6 +683,13 @@ class FleetExecutor:
         dispatch.placements.append((handle, request_id, is_hedge))
         dispatch.attempts += 1
         handle.inflight[request_id] = dispatch
+        self._send_query(handle, request_id, dispatch)
+        return request_id
+
+    def _send_query(
+        self, handle: _WorkerHandle, request_id: int, dispatch: _Dispatch
+    ) -> None:
+        """The query frame: the deadline rides along to the worker."""
         self._send(
             handle,
             (
@@ -694,7 +697,6 @@ class FleetExecutor:
                 dispatch.timeout, dispatch.deadline,
             ),
         )
-        return request_id
 
     def _drop_placement(
         self,
@@ -725,11 +727,7 @@ class FleetExecutor:
             # Allow one same-worker retry when nobody else is
             # eligible (single-worker fleets still recover from a
             # lost shm segment by recomputing).
-            now = time.monotonic()
-            for handle in self._candidates(dispatch.query):
-                if handle.available and handle.breaker.allow(now):
-                    target = handle
-                    break
+            target = self._first_eligible(dispatch.query, time.monotonic())
         if target is None:
             dispatch.future.set_exception(exc)
             return
@@ -768,31 +766,9 @@ class FleetExecutor:
         return digest
 
     def shard_key(self, query: Query) -> str:
-        """The consistent-hash key: ``(family, space, engine)``
-        fingerprint for grids, kernel-qualified fingerprints for
-        energy and pair surfaces, ``(kernel, config)`` identity for
-        points."""
-        if isinstance(query, GridQuery):
-            return f"g|{self._space_digest(query.space)}"
-        if isinstance(query, EnergyGridQuery):
-            return (
-                f"e|{query.kernel.full_name}"
-                f"|{self._space_digest(query.space)}"
-            )
-        if isinstance(query, PairGridQuery):
-            partner = (
-                "-" if query.kernel_b is None
-                else query.kernel_b.full_name
-            )
-            return (
-                f"x|{query.kernel_a.full_name}|{partner}"
-                f"|{self._space_digest(query.space)}"
-            )
-        config = query.config
-        return (
-            f"p|{query.kernel.full_name}|{config.cu_count}"
-            f"|{config.engine_mhz}|{config.memory_mhz}"
-        )
+        """The consistent-hash key each query kind declares, over this
+        fleet's ``(family, space, engine)`` space digest."""
+        return query.shard_key(self._space_digest)
 
     def worker_for(self, query: Query) -> int:
         """Which worker index *query* routes to (exposed for tests)."""
@@ -803,15 +779,14 @@ class FleetExecutor:
         query: Query,
         timeout: Optional[float] = None,
         deadline: Optional[float] = None,
-    ) -> Union[PointResult, GridResult]:
+    ) -> Any:
         """Route *query* to its shard's healthiest worker.
 
         *deadline* is absolute ``loop.time()``/``time.monotonic()``;
         it travels with the query to the worker's batcher, bounds the
         await here, and (for grid queries) paces the hedge timer.
         """
-        if not isinstance(query, QUERY_TYPES):
-            raise TypeError(f"not a query: {query!r}")
+        check_query(query)
         if self._closed or self._draining:
             raise ServiceClosedError(
                 "service is shutting down; no new queries admitted"
@@ -835,11 +810,7 @@ class FleetExecutor:
         # saturation does NOT fail over: spilling a hot shard onto its
         # neighbour would break the single-flight cache placement, so
         # a saturated owner still answers 429 with a backoff hint.
-        primary = None
-        for handle in self._candidates(query):
-            if handle.available and handle.breaker.allow(now):
-                primary = handle
-                break
+        primary = self._first_eligible(query, now)
         if primary is None:
             raise self._no_target_error(query, now)
         if len(primary.inflight) >= self._inflight_limit:
@@ -863,9 +834,7 @@ class FleetExecutor:
         if (
             self._hedge_fraction is not None
             and budget is not None
-            and isinstance(
-                query, (GridQuery, EnergyGridQuery, PairGridQuery)
-            )
+            and query.hedged
             and self.n_workers > 1
         ):
             hedge_task = loop.create_task(

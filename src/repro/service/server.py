@@ -45,29 +45,22 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    ReproError,
-    SimulationError,
-    WorkloadError,
-)
+from repro.errors import ReproError
 from repro.service import schema
 from repro.service.batcher import (
-    DeadlineExceededError,
     EnergyGridQuery,
     GridQuery,
     MicroBatcher,
     OverloadError,
     PairGridQuery,
     PointQuery,
-    ServiceClosedError,
-    ServiceTimeoutError,
 )
 from repro.service.chaos import ChaosConfig
+from repro.service.errors import error_kind
 from repro.service.metrics import ServiceMetrics
 from repro.service.resilience import (
     BROWNOUT_MODES,
@@ -75,6 +68,9 @@ from repro.service.resilience import (
     WorkerUnavailableError,
     deadline_from_timeout,
 )
+
+#: Submits one query to the executor under its request's budget.
+Submit = Callable[[Any], Awaitable[Any]]
 
 #: Hard caps on what one request may ship.
 MAX_REQUEST_LINE = 8192
@@ -153,6 +149,15 @@ def _error_payload(code: str, message: str) -> Dict[str, Any]:
     return {"error": {"code": code, "message": message}}
 
 
+def _json_error(
+    status: int, code: str, message: str
+) -> Tuple[int, str, str, None]:
+    return (
+        status, json.dumps(_error_payload(code, message)),
+        "application/json", None,
+    )
+
+
 class GpuScaleService:
     """One serving instance: listener + executor + metrics.
 
@@ -173,6 +178,12 @@ class GpuScaleService:
         self.config = config
         self.metrics = metrics or ServiceMetrics()
         self.fleet = None
+        batching = dict(
+            max_batch=config.max_batch,
+            max_wait_ms=config.max_wait_ms,
+            queue_limit=config.queue_limit,
+            metrics=self.metrics,
+        )
         if config.workers > 1:
             if simulator is not None or cache is not None:
                 raise ValueError(
@@ -185,16 +196,13 @@ class GpuScaleService:
             self.fleet = FleetExecutor(
                 config.workers,
                 engine=config.engine,
-                max_batch=config.max_batch,
-                max_wait_ms=config.max_wait_ms,
-                queue_limit=config.queue_limit,
                 use_cache=config.use_cache,
                 cache_dir=config.cache_dir,
                 chaos=config.chaos,
-                metrics=self.metrics,
                 restart_budget=config.restart_budget,
                 restart_window_s=config.restart_window_s,
                 hedge_fraction=config.hedge_fraction,
+                **batching,
             )
             self.executor: Any = self.fleet
         else:
@@ -206,12 +214,7 @@ class GpuScaleService:
 
                 cache = SweepCache(config.cache_dir)
             self.executor = MicroBatcher(
-                self._simulator,
-                max_batch=config.max_batch,
-                max_wait_ms=config.max_wait_ms,
-                queue_limit=config.queue_limit,
-                cache=cache,
-                metrics=self.metrics,
+                self._simulator, cache=cache, **batching
             )
         self.batcher = self.executor
         # The surrogate tier serves two policies over one engine and
@@ -222,6 +225,22 @@ class GpuScaleService:
         self.brownout: Optional[BrownoutExecutor] = None
         if config.brownout != "off":
             self.brownout = self._predictor_tier
+        # (method, path) -> (schema parser name or None, handler).
+        self._routes: Dict[Tuple[str, str], Tuple[Optional[str], Any]] = {
+            ("GET", "/healthz"): (None, self._get_healthz),
+            ("GET", "/metrics"): (None, self._get_metrics),
+            ("GET", "/v1/engines"): (None, self._get_engines),
+            ("GET", "/v1/families"): (None, self._get_families),
+            ("POST", "/v1/simulate"): ("parse_simulate", self._post_simulate),
+            ("POST", "/v1/classify"): ("parse_classify", self._post_classify),
+            ("POST", "/v1/whatif"): ("parse_whatif", self._post_whatif),
+            ("POST", "/v1/transfer"): ("parse_transfer", self._post_transfer),
+            ("POST", "/v1/optimize"): ("parse_optimize", self._post_optimize),
+            ("POST", "/v1/coschedule"): (
+                "parse_coschedule", self._post_coschedule,
+            ),
+        }
+        self._paths = {path for _, path in self._routes}
         self._server: Optional[asyncio.AbstractServer] = None
         self._draining = False
         self._inflight = 0
@@ -329,14 +348,11 @@ class GpuScaleService:
                 if not keep_alive:
                     break
         except _HttpViolation as violation:
+            status, body, content_type, _ = _json_error(
+                violation.status, violation.code, violation.message
+            )
             await self._write_response(
-                writer,
-                violation.status,
-                json.dumps(
-                    _error_payload(violation.code, violation.message)
-                ),
-                "application/json",
-                keep_alive=False,
+                writer, status, body, content_type, keep_alive=False
             )
         except (
             asyncio.CancelledError,
@@ -440,154 +456,50 @@ class GpuScaleService:
     async def _dispatch(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, str, str, Optional[Dict[str, str]]]:
-        """Route one request; returns (status, body, type, headers)."""
-        routes = {
-            ("GET", "/healthz"): self._get_healthz,
-            ("GET", "/metrics"): self._get_metrics,
-            ("GET", "/v1/engines"): self._get_engines,
-            ("GET", "/v1/families"): self._get_families,
-            ("POST", "/v1/simulate"): self._post_simulate,
-            ("POST", "/v1/classify"): self._post_classify,
-            ("POST", "/v1/whatif"): self._post_whatif,
-            ("POST", "/v1/transfer"): self._post_transfer,
-            ("POST", "/v1/optimize"): self._post_optimize,
-            ("POST", "/v1/coschedule"): self._post_coschedule,
-        }
-        handler = routes.get((method, path))
-        if handler is None:
-            known_paths = {p for _, p in routes}
-            if path in known_paths:
-                return (
-                    405,
-                    json.dumps(_error_payload(
-                        "method_not_allowed",
-                        f"{method} is not supported on {path}",
-                    )),
-                    "application/json",
-                    None,
+        """Route one request; returns (status, body, type, headers).
+
+        A POST body goes through its endpoint's :mod:`schema` parser,
+        looked up by name at request time, and the request's budget;
+        the handler then only builds its queries and its JSON.
+        """
+        route = self._routes.get((method, path))
+        if route is None:
+            if path in self._paths:
+                return _json_error(
+                    405, "method_not_allowed",
+                    f"{method} is not supported on {path}",
                 )
-            return (
-                404,
-                json.dumps(_error_payload(
-                    "not_found", f"no endpoint at {path}"
-                )),
-                "application/json",
-                None,
-            )
-        if method == "POST" and self._draining:
-            return (
-                503,
-                json.dumps(_error_payload(
-                    "draining", "server is shutting down"
-                )),
-                "application/json",
-                None,
-            )
+            return _json_error(404, "not_found", f"no endpoint at {path}")
+        parser, handler = route
+        if parser is not None and self._draining:
+            return _json_error(503, "draining", "server is shutting down")
         try:
-            if method == "POST":
-                payload = self._decode_json(body)
-                status, response = await handler(payload)
+            if parser is None:
+                response = await handler()
             else:
-                status, response = await handler()
-        except schema.RequestError as exc:
-            self.metrics.record_rejection("invalid_request")
-            return (
-                400, json.dumps(exc.to_payload()),
-                "application/json", None,
-            )
-        except OverloadError as exc:
-            self.metrics.record_rejection("overload")
-            return (
-                429,
-                json.dumps(_error_payload("overloaded", str(exc))),
-                "application/json",
-                {"Retry-After": str(self._retry_after_s(exc))},
-            )
-        except DeadlineExceededError as exc:
-            # Before ServiceTimeoutError: a deadline miss IS a
-            # timeout, but callers deserve the sharper code.
-            self.metrics.record_rejection("deadline")
-            return (
-                503,
-                json.dumps(
-                    _error_payload("deadline_exceeded", str(exc))
-                ),
-                "application/json",
-                None,
-            )
-        except ServiceTimeoutError as exc:
-            self.metrics.record_rejection("timeout")
-            return (
-                503,
-                json.dumps(_error_payload("timeout", str(exc))),
-                "application/json",
-                None,
-            )
-        except WorkerUnavailableError as exc:
-            # Every worker for the shard is down or breaker-open and
-            # brownout was off (or the query was not brownout-able).
-            self.metrics.record_rejection("unavailable")
-            return (
-                503,
-                json.dumps(
-                    _error_payload("no_worker_available", str(exc))
-                ),
-                "application/json",
-                None,
-            )
-        except ServiceClosedError as exc:
-            self.metrics.record_rejection("draining")
-            return (
-                503,
-                json.dumps(_error_payload("draining", str(exc))),
-                "application/json",
-                None,
-            )
-        except ConfigurationError as exc:
-            # e.g. a point query against a grid-only engine.
-            return (
-                400,
-                json.dumps(_error_payload(
-                    "unsupported_query", str(exc)
-                )),
-                "application/json",
-                None,
-            )
-        except WorkloadError as exc:
-            # A request-supplied kernel that breaks a model invariant
-            # (e.g. a what-if transform on a degenerate inline kernel).
-            return (
-                400,
-                json.dumps(_error_payload(
-                    "invalid_kernel", str(exc)
-                )),
-                "application/json",
-                None,
-            )
-        except SimulationError as exc:
-            return (
-                500,
-                json.dumps(_error_payload(
-                    "simulation_failed", str(exc)
-                )),
-                "application/json",
-                None,
-            )
+                request = getattr(schema, parser)(self._decode_json(body))
+                response = await handler(request, self._submitter(request))
         except ReproError as exc:
+            kind = error_kind(exc)
+            if kind.reason is not None:
+                self.metrics.record_rejection(kind.reason)
+            payload = (
+                exc.to_payload() if kind.code is None
+                else _error_payload(kind.code, str(exc))
+            )
+            headers = None
+            if kind.status == 429:
+                headers = {"Retry-After": str(self._retry_after_s(exc))}
             return (
-                500,
-                json.dumps(_error_payload(
-                    "internal_error", str(exc)
-                )),
-                "application/json",
-                None,
+                kind.status, json.dumps(payload), "application/json",
+                headers,
             )
         if isinstance(response, str):  # /metrics renders its own text
             return (
-                status, response,
+                200, response,
                 "text/plain; version=0.0.4; charset=utf-8", None,
             )
-        return status, json.dumps(response), "application/json", None
+        return 200, json.dumps(response), "application/json", None
 
     def _retry_after_s(self, exc: OverloadError) -> int:
         """Whole seconds for the 429 ``Retry-After`` header.
@@ -622,10 +534,8 @@ class GpuScaleService:
     # Deadlines and brownout
     # ------------------------------------------------------------------
 
-    def _request_budget(
-        self, request: Any
-    ) -> Tuple[float, float]:
-        """The effective timeout and absolute deadline of a request.
+    def _submitter(self, request: Any) -> Submit:
+        """Submit queries to the executor under *request*'s budget.
 
         The caller's ``timeout_ms`` can only shrink the server's
         configured ceiling, never grow it; the deadline is absolute
@@ -633,16 +543,21 @@ class GpuScaleService:
         into the worker's batcher.
         """
         timeout = self.config.request_timeout_s
-        asked = getattr(request, "timeout_s", None)
-        if asked is not None:
-            timeout = min(timeout, asked)
-        return timeout, deadline_from_timeout(timeout)
+        if request.timeout_s is not None:
+            timeout = min(timeout, request.timeout_s)
+        deadline = deadline_from_timeout(timeout)
+
+        def submit(query: Any) -> Awaitable[Any]:
+            return self.executor.submit(
+                query, timeout=timeout, deadline=deadline
+            )
+
+        return submit
 
     async def _submit_grid(
         self,
         query: GridQuery,
-        timeout: float,
-        deadline: float,
+        submit: Submit,
         tolerance: Optional[float] = None,
     ) -> Tuple[Any, Optional[str]]:
         """One grid query through tier routing and brownout policy.
@@ -670,9 +585,7 @@ class GpuScaleService:
             if routed is not None:
                 return routed
         try:
-            result = await self.executor.submit(
-                query, timeout=timeout, deadline=deadline
-            )
+            result = await submit(query)
             if tolerance is None:
                 self.metrics.record_tier("exact", "default")
             return result, None
@@ -735,7 +648,7 @@ class GpuScaleService:
     # Endpoints
     # ------------------------------------------------------------------
 
-    async def _get_healthz(self) -> Tuple[int, Dict[str, Any]]:
+    async def _get_healthz(self) -> Dict[str, Any]:
         from repro.gpu.uarch import family_names
 
         status = "draining" if self._draining else "ok"
@@ -758,16 +671,14 @@ class GpuScaleService:
                 # A dead worker is being restarted (or its shard is
                 # lost); either way the fleet is not fully healthy.
                 payload["status"] = "degraded"
-        return 200, payload
+        return payload
 
-    async def _get_metrics(self) -> Tuple[int, str]:
+    async def _get_metrics(self) -> str:
         if self.fleet is not None:
-            return 200, await self.fleet.render_metrics(
-                self.metrics.registry
-            )
-        return 200, self.metrics.render()
+            return await self.fleet.render_metrics(self.metrics.registry)
+        return self.metrics.render()
 
-    async def _get_engines(self) -> Tuple[int, Dict[str, Any]]:
+    async def _get_engines(self) -> Dict[str, Any]:
         from repro.gpu.engine import list_engines
 
         engines = [
@@ -785,101 +696,69 @@ class GpuScaleService:
             }
             for reg in list_engines()
         ]
-        return 200, {"engines": engines}
+        return {"engines": engines}
 
-    async def _get_families(self) -> Tuple[int, Dict[str, Any]]:
+    async def _get_families(self) -> Dict[str, Any]:
         from repro.gpu.uarch import list_families
 
-        return 200, {
+        return {
             "families": [family.to_dict() for family in list_families()]
         }
 
     async def _post_simulate(
-        self, payload: Any
-    ) -> Tuple[int, Dict[str, Any]]:
-        request = schema.parse_simulate(payload)
-        timeout, deadline = self._request_budget(request)
-        if request.is_grid:
-            result, reason = await self._submit_grid(
-                GridQuery(kernel=request.kernel, space=request.space),
-                timeout,
-                deadline,
-                tolerance=request.tolerance,
+        self, request: schema.SimulateRequest, submit: Submit
+    ) -> Dict[str, Any]:
+        if not request.is_grid:
+            result = await submit(
+                PointQuery(kernel=request.kernel, config=request.config)
             )
-            space = request.space
-            return 200, {
+            return {
                 "kernel": result.kernel_name,
-                "space": {
-                    "cu_counts": list(space.cu_counts),
-                    "engine_mhz": list(space.engine_mhz),
-                    "memory_mhz": list(space.memory_mhz),
-                },
-                "items_per_second": result.items_per_second.tolist(),
-                "time_s": result.time_s.tolist(),
-                "from_cache": result.from_cache,
-                **self._fidelity_fields(result, reason),
+                "config": _config_json(request.config),
+                "time_s": result.time_s,
+                "items_per_second": result.items_per_second,
+                "fidelity": "exact",
             }
-        result = await self.executor.submit(
-            PointQuery(kernel=request.kernel, config=request.config),
-            timeout=timeout,
-            deadline=deadline,
+        result, reason = await self._submit_grid(
+            GridQuery(kernel=request.kernel, space=request.space),
+            submit,
+            tolerance=request.tolerance,
         )
-        config = request.config
-        return 200, {
+        return {
             "kernel": result.kernel_name,
-            "config": {
-                "cu_count": config.cu_count,
-                "engine_mhz": config.engine_mhz,
-                "memory_mhz": config.memory_mhz,
-            },
-            "time_s": result.time_s,
-            "items_per_second": result.items_per_second,
-            "fidelity": "exact",
+            "space": _space_json(request.space),
+            "items_per_second": result.items_per_second.tolist(),
+            "time_s": result.time_s.tolist(),
+            "from_cache": result.from_cache,
+            **self._fidelity_fields(result, reason),
         }
 
     async def _post_classify(
-        self, payload: Any
-    ) -> Tuple[int, Dict[str, Any]]:
-        from repro.sweep.dataset import KernelRecord, ScalingDataset
-        from repro.taxonomy.classifier import classify
+        self, request: schema.ClassifyRequest, submit: Submit
+    ) -> Dict[str, Any]:
         from repro.taxonomy.explain import explain_label
 
-        request = schema.parse_classify(payload)
-        timeout, deadline = self._request_budget(request)
         result, reason = await self._submit_grid(
             GridQuery(kernel=request.kernel, space=request.space),
-            timeout,
-            deadline,
+            submit,
             tolerance=request.tolerance,
         )
-        dataset = ScalingDataset(
-            request.space,
-            [KernelRecord.from_full_name(result.kernel_name)],
-            np.asarray(result.items_per_second)[np.newaxis, ...],
+        label = _classify_one(
+            request.space, result.kernel_name, result.items_per_second
         )
-        label = classify(dataset).labels[0]
-        return 200, {
+        return {
             "kernel": result.kernel_name,
-            "category": label.category.value,
-            "behaviours": {
-                "cu": label.cu_behaviour.value,
-                "engine": label.engine_behaviour.value,
-                "memory": label.memory_behaviour.value,
-            },
+            **_label_json(label),
             "explanation": explain_label(label),
             "from_cache": result.from_cache,
             **self._fidelity_fields(result, reason),
         }
 
     async def _post_transfer(
-        self, payload: Any
-    ) -> Tuple[int, Dict[str, Any]]:
+        self, request: schema.TransferRequest, submit: Submit
+    ) -> Dict[str, Any]:
         from repro.predict.transfer import transfer_predictor
-        from repro.sweep.dataset import KernelRecord, ScalingDataset
-        from repro.taxonomy.classifier import classify
 
-        request = schema.parse_transfer(payload)
-        timeout, deadline = self._request_budget(request)
         # Fitting the cross-family corpus costs two batch studies; it
         # is memoised per family pair, so only the first request for a
         # pair pays — off the event loop either way.
@@ -888,80 +767,55 @@ class GpuScaleService:
             request.source_family,
             request.target_family,
         )
-        source_space = predictor.source.space
         result, reason = await self._submit_grid(
-            GridQuery(kernel=request.kernel, space=source_space),
-            timeout,
-            deadline,
+            GridQuery(kernel=request.kernel, space=predictor.source.space),
+            submit,
         )
         prediction = predictor.predict_cube(
             np.asarray(result.items_per_second),
             kernel_name=result.kernel_name,
         )
         target_space = predictor.target.space
-        dataset = ScalingDataset(
-            target_space,
-            [KernelRecord.from_full_name(result.kernel_name)],
-            prediction.cube[np.newaxis, ...],
+        label = _classify_one(
+            target_space, result.kernel_name, prediction.cube
         )
-        label = classify(dataset).labels[0]
         transfer_error = await asyncio.to_thread(
             predictor.measured_error
         )
         self.metrics.record_transfer(
             request.source_family, request.target_family
         )
-        return 200, {
+        return {
             "kernel": result.kernel_name,
             "source_family": request.source_family,
             "target_family": request.target_family,
-            "category": label.category.value,
-            "behaviours": {
-                "cu": label.cu_behaviour.value,
-                "engine": label.engine_behaviour.value,
-                "memory": label.memory_behaviour.value,
-            },
+            **_label_json(label),
             "neighbours": list(prediction.neighbours),
             "neighbour_distances": list(
                 prediction.neighbour_distances
             ),
             "transfer_error": transfer_error,
-            "target_space": {
-                "cu_counts": list(target_space.cu_counts),
-                "engine_mhz": list(target_space.engine_mhz),
-                "memory_mhz": list(target_space.memory_mhz),
-            },
+            "target_space": _space_json(target_space),
             "items_per_second": prediction.cube.tolist(),
             "from_cache": result.from_cache,
             **self._fidelity_fields(result, reason),
         }
 
     async def _post_whatif(
-        self, payload: Any
-    ) -> Tuple[int, Dict[str, Any]]:
+        self, request: schema.WhatIfRequest, submit: Submit
+    ) -> Dict[str, Any]:
         from repro.predict.what_if import STANDARD_SCENARIOS
 
-        request = schema.parse_whatif(payload)
-        timeout, deadline = self._request_budget(request)
         # Baseline plus every scenario submitted together: the batcher
         # coalesces all seven evaluations into one micro-batch.
-        queries = [
-            PointQuery(kernel=request.kernel, config=request.config)
-        ] + [
-            PointQuery(
-                kernel=scenario.apply(request.kernel),
-                config=request.config,
-            )
+        kernels = [request.kernel] + [
+            scenario.apply(request.kernel)
             for scenario in STANDARD_SCENARIOS
         ]
-        results = await asyncio.gather(
-            *(
-                self.executor.submit(
-                    q, timeout=timeout, deadline=deadline
-                )
-                for q in queries
-            )
-        )
+        results = await asyncio.gather(*(
+            submit(PointQuery(kernel=kernel, config=request.config))
+            for kernel in kernels
+        ))
         baseline = results[0].items_per_second
         scenarios = sorted(
             (
@@ -979,29 +833,16 @@ class GpuScaleService:
             ),
             key=lambda row: -row["speedup"],
         )
-        config = request.config
-        return 200, {
+        return {
             "kernel": request.kernel.full_name,
-            "config": {
-                "cu_count": config.cu_count,
-                "engine_mhz": config.engine_mhz,
-                "memory_mhz": config.memory_mhz,
-            },
+            "config": _config_json(request.config),
             "baseline_items_per_second": baseline,
             "scenarios": scenarios,
         }
 
-    @staticmethod
-    def _config_payload(config: Any) -> Dict[str, Any]:
-        return {
-            "cu_count": config.cu_count,
-            "engine_mhz": config.engine_mhz,
-            "memory_mhz": config.memory_mhz,
-        }
-
     async def _post_optimize(
-        self, payload: Any
-    ) -> Tuple[int, Dict[str, Any]]:
+        self, request: schema.OptimizeRequest, submit: Submit
+    ) -> Dict[str, Any]:
         """Energy-optimal serving over the full surface.
 
         The surface (solo energy, or pair makespan/pair energy) is
@@ -1017,29 +858,19 @@ class GpuScaleService:
             select_optimum,
         )
 
-        request = schema.parse_optimize(payload)
-        timeout, deadline = self._request_budget(request)
         if request.kernel_b is None:
-            result = await self.executor.submit(
-                EnergyGridQuery(
-                    kernel=request.kernel, space=request.space
-                ),
-                timeout=timeout,
-                deadline=deadline,
+            result = await submit(
+                EnergyGridQuery(kernel=request.kernel, space=request.space)
             )
             time_s = np.asarray(result.time_s)
             names = {"kernel": result.kernel_name}
             from_cache = result.from_cache
         else:
-            result = await self.executor.submit(
-                PairGridQuery(
-                    kernel_a=request.kernel,
-                    kernel_b=request.kernel_b,
-                    space=request.space,
-                ),
-                timeout=timeout,
-                deadline=deadline,
-            )
+            result = await submit(PairGridQuery(
+                kernel_a=request.kernel,
+                kernel_b=request.kernel_b,
+                space=request.space,
+            ))
             # A pair is priced on its makespan and pair energy: the
             # objective optimises the co-run as a whole.
             time_s = np.asarray(result.makespan_s)
@@ -1051,20 +882,22 @@ class GpuScaleService:
         energy_j = np.asarray(result.energy_j)
         power_w = np.asarray(result.power_w)
         self.metrics.record_optimize(request.objective.value)
-        space = request.space
+        head = {
+            **names,
+            "objective": request.objective.value,
+            "power_cap_w": request.power_cap_w,
+        }
         try:
             if request.frontier:
                 points = frontier_points(
-                    space, time_s, energy_j, power_w,
+                    request.space, time_s, energy_j, power_w,
                     request.power_cap_w,
                 )
-                return 200, {
-                    **names,
-                    "objective": request.objective.value,
-                    "power_cap_w": request.power_cap_w,
+                return {
+                    **head,
                     "frontier": [
                         {
-                            "config": self._config_payload(p.config),
+                            "config": _config_json(p.config),
                             "time_s": p.time_s,
                             "energy_j": p.energy_j,
                             "power_w": p.power_w,
@@ -1084,12 +917,9 @@ class GpuScaleService:
             raise schema.RequestError(
                 "unsatisfiable_power_cap", str(exc), field="power_cap_w"
             ) from exc
-        config = space.config(c, e, m)
-        return 200, {
-            **names,
-            "objective": request.objective.value,
-            "power_cap_w": request.power_cap_w,
-            "config": self._config_payload(config),
+        return {
+            **head,
+            "config": _config_json(request.space.config(c, e, m)),
             "time_s": float(time_s[c, e, m]),
             "energy_j": float(energy_j[c, e, m]),
             "power_w": float(power_w[c, e, m]),
@@ -1098,13 +928,11 @@ class GpuScaleService:
         }
 
     async def _post_coschedule(
-        self, payload: Any
-    ) -> Tuple[int, Dict[str, Any]]:
+        self, request: schema.CoScheduleRequest, submit: Submit
+    ) -> Dict[str, Any]:
         """One co-resident pair: point breakdown or surface summary."""
         from repro.sweep.space import ConfigurationSpace
 
-        request = schema.parse_coschedule(payload)
-        timeout, deadline = self._request_budget(request)
         if request.is_point:
             point = request.config
             space = ConfigurationSpace(
@@ -1114,24 +942,20 @@ class GpuScaleService:
             )
         else:
             space = request.space
-        result = await self.executor.submit(
-            PairGridQuery(
-                kernel_a=request.kernel_a,
-                kernel_b=request.kernel_b,
-                space=space,
-            ),
-            timeout=timeout,
-            deadline=deadline,
-        )
+        result = await submit(PairGridQuery(
+            kernel_a=request.kernel_a,
+            kernel_b=request.kernel_b,
+            space=space,
+        ))
         self.metrics.record_coschedule()
         stp = np.asarray(result.stp)
         antt = np.asarray(result.antt)
+        names = {"kernel_a": result.kernel_a, "kernel_b": result.kernel_b}
         if request.is_point:
             idx = (0, 0, 0)
-            return 200, {
-                "kernel_a": result.kernel_a,
-                "kernel_b": result.kernel_b,
-                "config": self._config_payload(request.config),
+            return {
+                **names,
+                "config": _config_json(request.config),
                 "a": {
                     "time_s": float(result.time_a[idx]),
                     "solo_time_s": float(result.solo_time_a[idx]),
@@ -1149,39 +973,66 @@ class GpuScaleService:
                 "antt": float(antt[idx]),
             }
         best = np.unravel_index(int(np.argmax(stp)), stp.shape)
-        best_config = space.config(*(int(i) for i in best))
-        return 200, {
-            "kernel_a": result.kernel_a,
-            "kernel_b": result.kernel_b,
-            "space": {
-                "cu_counts": list(space.cu_counts),
-                "engine_mhz": list(space.engine_mhz),
-                "memory_mhz": list(space.memory_mhz),
-            },
-            "stp": {
-                "min": float(stp.min()),
-                "mean": float(stp.mean()),
-                "max": float(stp.max()),
-            },
-            "antt": {
-                "min": float(antt.min()),
-                "mean": float(antt.mean()),
-                "max": float(antt.max()),
-            },
-            "slowdown_a": {
-                "min": float(result.slowdown_a.min()),
-                "max": float(result.slowdown_a.max()),
-            },
-            "slowdown_b": {
-                "min": float(result.slowdown_b.min()),
-                "max": float(result.slowdown_b.max()),
-            },
+        return {
+            **names,
+            "space": _space_json(space),
+            "stp": _summary(stp, "min", "mean", "max"),
+            "antt": _summary(antt, "min", "mean", "max"),
+            "slowdown_a": _summary(result.slowdown_a, "min", "max"),
+            "slowdown_b": _summary(result.slowdown_b, "min", "max"),
             "best_stp": {
-                "config": self._config_payload(best_config),
+                "config": _config_json(
+                    space.config(*(int(i) for i in best))
+                ),
                 "stp": float(stp[best]),
                 "antt": float(antt[best]),
             },
         }
+
+
+def _config_json(config: Any) -> Dict[str, Any]:
+    return {
+        "cu_count": config.cu_count,
+        "engine_mhz": config.engine_mhz,
+        "memory_mhz": config.memory_mhz,
+    }
+
+
+def _space_json(space: Any) -> Dict[str, Any]:
+    return {
+        "cu_counts": list(space.cu_counts),
+        "engine_mhz": list(space.engine_mhz),
+        "memory_mhz": list(space.memory_mhz),
+    }
+
+
+def _label_json(label: Any) -> Dict[str, Any]:
+    return {
+        "category": label.category.value,
+        "behaviours": {
+            "cu": label.cu_behaviour.value,
+            "engine": label.engine_behaviour.value,
+            "memory": label.memory_behaviour.value,
+        },
+    }
+
+
+def _summary(values: Any, *stats: str) -> Dict[str, float]:
+    """``{stat: float(values.stat())}`` for each named NumPy reduction."""
+    return {stat: float(getattr(values, stat)()) for stat in stats}
+
+
+def _classify_one(space: Any, kernel_name: str, cube: Any) -> Any:
+    """The taxonomy label of one kernel's surface over *space*."""
+    from repro.sweep.dataset import KernelRecord, ScalingDataset
+    from repro.taxonomy.classifier import classify
+
+    dataset = ScalingDataset(
+        space,
+        [KernelRecord.from_full_name(kernel_name)],
+        np.asarray(cube)[np.newaxis, ...],
+    )
+    return classify(dataset).labels[0]
 
 
 async def run_service(

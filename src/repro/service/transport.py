@@ -10,22 +10,25 @@ port), and the payloads are this module's own tuples.
 Three translation layers live here so ``router.py`` and ``worker.py``
 stay symmetric:
 
-* **queries** travel as compact references, not full objects: a
-  catalog kernel is its ``suite/program.kernel`` name (the worker
-  re-resolves it from its own catalog index), an inline kernel is its
-  ``to_dict()`` payload, and the paper grid is the literal string
-  ``"paper"``. At 5k req/s re-pickling full :class:`Kernel` objects
-  per query is measurable; names are not.
-* **grid results** return over the PR 3 ``multiprocessing.
-  shared_memory`` path: the worker copies the surface into a fresh
-  segment and ships only its name + shape, the router copies it out
-  and unlinks. Both sides detach the segment from their resource
-  tracker (bpo-39959, same workaround as :mod:`repro.sweep.parallel`)
+* **queries** travel as their kind's ``shape`` label followed by their
+  dataclass fields, each as a compact reference rather than a full
+  object: a catalog kernel is its ``suite/program.kernel`` name (the
+  worker re-resolves it from its own catalog index), an inline kernel
+  is its ``to_dict()`` payload, the paper grid is the literal string
+  ``"paper"`` and a hardware point is a ``(cu, engine, memory,
+  uarch)`` tuple. At 5k req/s re-pickling full :class:`Kernel` objects per
+  query is measurable; names are not.
+* **grid results** return over the ``multiprocessing.shared_memory``
+  path: the worker copies the surface into a fresh segment and ships
+  only its name + shape, the router copies it out and unlinks. Both
+  sides detach the segment from their resource tracker (bpo-39959)
   so neither emits spurious leak warnings nor unlinks early. If
   shared memory is unavailable the array falls back to riding the
-  frame itself — bit-identical either way.
-* **errors** cross as ``(code, message, extra)`` triples and are
-  rebuilt into the same exception types the in-process
+  frame itself — bit-identical either way. Every other result rides
+  the frame as its own dataclass.
+* **errors** cross as ``(code, message, extra)`` triples read from the
+  table in :mod:`repro.service.errors` and are rebuilt into the same
+  exception types the in-process
   :class:`~repro.service.batcher.MicroBatcher` raises, so the server's
   status mapping is oblivious to which mode answered.
 """
@@ -33,34 +36,20 @@ stay symmetric:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import pickle
 import struct
+import typing
 from multiprocessing import shared_memory
 from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    ReproError,
-    SimulationError,
-    WorkloadError,
-)
-from repro.service.batcher import (
-    DeadlineExceededError,
-    EnergyGridQuery,
-    EnergyGridResult,
-    GridQuery,
-    GridResult,
-    OverloadError,
-    PairGridQuery,
-    PairGridResult,
-    PointQuery,
-    PointResult,
-    Query,
-    ServiceClosedError,
-    ServiceTimeoutError,
-)
+from repro.errors import ReproError
+from repro.gpu.config import HAWAII_UARCH, HardwareConfig, Microarchitecture
+from repro.kernels.kernel import Kernel
+from repro.service.batcher import QUERY_KINDS, GridResult, Query
+from repro.service.errors import BY_WIRE, error_kind
 from repro.sweep.space import PAPER_SPACE, ConfigurationSpace
 from repro.tiles import untrack_segment
 
@@ -147,15 +136,6 @@ def send_frame(
 # ----------------------------------------------------------------------
 
 
-def _catalog_kernel(full_name: str):
-    from repro.suites import kernel_by_name
-
-    try:
-        return kernel_by_name(full_name)
-    except ReproError:
-        return None
-
-
 def encode_kernel(kernel) -> Union[str, dict]:
     """A kernel reference: catalog name when safe, else a full dict.
 
@@ -164,14 +144,18 @@ def encode_kernel(kernel) -> Union[str, dict]:
     a catalog name with different characteristics must travel by
     value or the worker would silently answer for the wrong kernel.
     """
-    catalog = _catalog_kernel(kernel.full_name)
+    from repro.suites import kernel_by_name
+
+    try:
+        catalog = kernel_by_name(kernel.full_name)
+    except ReproError:
+        catalog = None
     if catalog is not None and (catalog is kernel or catalog == kernel):
         return kernel.full_name
     return kernel.to_dict()
 
 
 def decode_kernel(ref: Union[str, dict]):
-    from repro.kernels.kernel import Kernel
     from repro.suites import kernel_by_name
 
     if isinstance(ref, str):
@@ -191,67 +175,71 @@ def decode_space(ref: Union[str, dict]) -> ConfigurationSpace:
     return ConfigurationSpace.from_dict(ref)
 
 
+def _encode_config(config: HardwareConfig) -> Tuple[Any, ...]:
+    """``(cu, engine, memory, uarch)``; the uarch travels by value
+    unless it is the default family's (``None``)."""
+    default = config.uarch is HAWAII_UARCH or config.uarch == HAWAII_UARCH
+    uarch = None if default else config.uarch.to_dict()
+    return (config.cu_count, config.engine_mhz, config.memory_mhz, uarch)
+
+
+def _decode_config(ref: Tuple[Any, ...]) -> HardwareConfig:
+    cu, eng, mem, arch = ref
+    arch = HAWAII_UARCH if arch is None else Microarchitecture.from_dict(arch)
+    return HardwareConfig(
+        cu_count=int(cu), engine_mhz=float(eng), memory_mhz=float(mem),
+        uarch=arch,
+    )
+
+
+#: Wire codec of each type a query field can hold.
+_FIELD_CODECS = {
+    Kernel: (encode_kernel, decode_kernel),
+    ConfigurationSpace: (encode_space, decode_space),
+    HardwareConfig: (_encode_config, _decode_config),
+}
+
+
+def _optional(codec: Any) -> Any:
+    return lambda value: None if value is None else codec(value)
+
+
+def _field_codecs(cls: type) -> Tuple[Tuple[str, Any, Any], ...]:
+    """``(name, encode, decode)`` per dataclass field of a query kind;
+    an ``Optional`` field travels as ``None`` or by its type's codec."""
+    hints = typing.get_type_hints(cls)
+    codecs = []
+    for field in dataclasses.fields(cls):
+        hint = hints[field.name]
+        inner = [t for t in typing.get_args(hint) if t is not type(None)]
+        encode, decode = _FIELD_CODECS[inner[0] if inner else hint]
+        if inner:
+            encode, decode = _optional(encode), _optional(decode)
+        codecs.append((field.name, encode, decode))
+    return tuple(codecs)
+
+
+#: Each query kind's field codecs.
+_CODECS = {cls: _field_codecs(cls) for cls in QUERY_KINDS.values()}
+
+
 def encode_query(query: Query) -> Tuple[Any, ...]:
-    """Compact wire form of one query."""
-    if isinstance(query, PointQuery):
-        config = query.config
-        return (
-            "point",
-            encode_kernel(query.kernel),
-            (config.cu_count, config.engine_mhz, config.memory_mhz),
-        )
-    if isinstance(query, GridQuery):
-        return ("grid", encode_kernel(query.kernel), encode_space(query.space))
-    if isinstance(query, EnergyGridQuery):
-        return (
-            "energygrid",
-            encode_kernel(query.kernel),
-            encode_space(query.space),
-        )
-    if isinstance(query, PairGridQuery):
-        return (
-            "pairgrid",
-            encode_kernel(query.kernel_a),
-            None if query.kernel_b is None
-            else encode_kernel(query.kernel_b),
-            encode_space(query.space),
-        )
-    raise TransportError(f"not a query: {query!r}")
+    """Compact wire form of one query: its kind, then its fields."""
+    codecs = _CODECS.get(type(query))
+    if codecs is None:
+        raise TransportError(f"not a query: {query!r}")
+    return (query.shape, *[
+        encode(getattr(query, name)) for name, encode, _ in codecs
+    ])
 
 
 def decode_query(payload: Tuple[Any, ...]) -> Query:
-    from repro.gpu.config import HardwareConfig
-
-    kind = payload[0]
-    if kind == "point":
-        _, kernel_ref, (cu, eng, mem) = payload
-        return PointQuery(
-            kernel=decode_kernel(kernel_ref),
-            config=HardwareConfig(
-                cu_count=int(cu), engine_mhz=float(eng),
-                memory_mhz=float(mem),
-            ),
-        )
-    if kind == "grid":
-        _, kernel_ref, space_ref = payload
-        return GridQuery(
-            kernel=decode_kernel(kernel_ref),
-            space=decode_space(space_ref),
-        )
-    if kind == "energygrid":
-        _, kernel_ref, space_ref = payload
-        return EnergyGridQuery(
-            kernel=decode_kernel(kernel_ref),
-            space=decode_space(space_ref),
-        )
-    if kind == "pairgrid":
-        _, a_ref, b_ref, space_ref = payload
-        return PairGridQuery(
-            kernel_a=decode_kernel(a_ref),
-            kernel_b=None if b_ref is None else decode_kernel(b_ref),
-            space=decode_space(space_ref),
-        )
-    raise TransportError(f"unknown query kind {kind!r}")
+    cls = QUERY_KINDS.get(payload[0])
+    if cls is None:
+        raise TransportError(f"unknown query kind {payload[0]!r}")
+    return cls(*[
+        decode(ref) for (_, _, decode), ref in zip(_CODECS[cls], payload[1:])
+    ])
 
 
 # ----------------------------------------------------------------------
@@ -259,45 +247,16 @@ def decode_query(payload: Tuple[Any, ...]) -> Query:
 # ----------------------------------------------------------------------
 
 
-def encode_result(
-    result: Union[
-        PointResult, GridResult, EnergyGridResult, PairGridResult
-    ],
-) -> Tuple[Any, ...]:
+def encode_result(result: Any) -> Tuple[Any, ...]:
     """Wire form of one result; grid surfaces go via shared memory.
 
-    Energy and pair surfaces ride the frame inline: at the paper
-    grid's 891 points their arrays total tens of kilobytes, far below
-    the frame cap, so a shared-memory round-trip would cost more than
-    it saves.
+    Every other result rides the frame as its dataclass: at the paper
+    grid's 891 points an energy or pair surface totals tens of
+    kilobytes, far below the frame cap, so a shared-memory round-trip
+    would cost more than it saves.
     """
-    if isinstance(result, PointResult):
-        return (
-            "point", result.kernel_name,
-            result.time_s, result.items_per_second,
-        )
-    if isinstance(result, EnergyGridResult):
-        return (
-            "energy-inline", result.kernel_name,
-            np.ascontiguousarray(result.time_s),
-            np.ascontiguousarray(result.power_w),
-            np.ascontiguousarray(result.energy_j),
-            result.global_size, result.from_cache,
-        )
-    if isinstance(result, PairGridResult):
-        return (
-            "pair-inline", result.kernel_a, result.kernel_b,
-            np.ascontiguousarray(result.time_a),
-            None if result.time_b is None
-            else np.ascontiguousarray(result.time_b),
-            np.ascontiguousarray(result.solo_time_a),
-            None if result.solo_time_b is None
-            else np.ascontiguousarray(result.solo_time_b),
-            np.ascontiguousarray(result.makespan_s),
-            np.ascontiguousarray(result.power_w),
-            np.ascontiguousarray(result.energy_j),
-            result.global_size_a, result.global_size_b,
-        )
+    if not isinstance(result, GridResult):
+        return ("inline", result)
     array = np.ascontiguousarray(result.items_per_second)
     try:
         segment = shared_memory.SharedMemory(
@@ -321,53 +280,15 @@ def encode_result(
     )
 
 
-def decode_result(
-    payload: Tuple[Any, ...],
-) -> Union[PointResult, GridResult, EnergyGridResult, PairGridResult]:
+def decode_result(payload: Tuple[Any, ...]) -> Any:
     """Rebuild a result; attaches, copies out, and unlinks shm."""
     kind = payload[0]
-    if kind == "point":
-        _, kernel_name, time_s, ips = payload
-        return PointResult(
-            kernel_name=kernel_name, time_s=time_s,
-            items_per_second=ips,
-        )
-    if kind == "energy-inline":
-        (_, kernel_name, time_s, power_w, energy_j,
-         global_size, from_cache) = payload
-        return EnergyGridResult(
-            kernel_name=kernel_name,
-            time_s=np.asarray(time_s),
-            power_w=np.asarray(power_w),
-            energy_j=np.asarray(energy_j),
-            global_size=global_size,
-            from_cache=from_cache,
-        )
-    if kind == "pair-inline":
-        (_, kernel_a, kernel_b, time_a, time_b, solo_a, solo_b,
-         makespan_s, power_w, energy_j, size_a, size_b) = payload
-        return PairGridResult(
-            kernel_a=kernel_a,
-            kernel_b=kernel_b,
-            time_a=np.asarray(time_a),
-            time_b=None if time_b is None else np.asarray(time_b),
-            solo_time_a=np.asarray(solo_a),
-            solo_time_b=None if solo_b is None else np.asarray(solo_b),
-            makespan_s=np.asarray(makespan_s),
-            power_w=np.asarray(power_w),
-            energy_j=np.asarray(energy_j),
-            global_size_a=size_a,
-            global_size_b=size_b,
-        )
+    if kind == "inline":
+        return payload[1]
     if kind == "grid-inline":
         _, kernel_name, array, global_size, from_cache = payload
-        return GridResult(
-            kernel_name=kernel_name,
-            items_per_second=np.asarray(array),
-            global_size=global_size,
-            from_cache=from_cache,
-        )
-    if kind == "grid-shm":
+        array = np.asarray(array)
+    elif kind == "grid-shm":
         _, kernel_name, name, shape, dtype, global_size, from_cache = (
             payload
         )
@@ -385,18 +306,15 @@ def decode_result(
             array = np.array(view)
             del view
         finally:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                untrack_segment(segment)
-        return GridResult(
-            kernel_name=kernel_name,
-            items_per_second=array,
-            global_size=global_size,
-            from_cache=from_cache,
-        )
-    raise TransportError(f"unknown result kind {kind!r}")
+            _discard(segment)
+    else:
+        raise TransportError(f"unknown result kind {kind!r}")
+    return GridResult(
+        kernel_name=kernel_name,
+        items_per_second=array,
+        global_size=global_size,
+        from_cache=from_cache,
+    )
 
 
 def release_result(payload: Tuple[Any, ...]) -> None:
@@ -407,68 +325,36 @@ def release_result(payload: Tuple[Any, ...]) -> None:
             segment = shared_memory.SharedMemory(name=payload[2])
         except FileNotFoundError:
             return
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            untrack_segment(segment)
+        _discard(segment)
+
+
+def _discard(segment: shared_memory.SharedMemory) -> None:
+    """Close and unlink a result segment exactly once."""
+    segment.close()
+    try:
+        segment.unlink()
+    except FileNotFoundError:
+        untrack_segment(segment)
 
 
 # ----------------------------------------------------------------------
-# Error encoding (worker -> router)
+# Error encoding (worker -> router), read from repro.service.errors
 # ----------------------------------------------------------------------
-
-_ERROR_CODES = {
-    "overload": OverloadError,
-    "timeout": ServiceTimeoutError,
-    "deadline": DeadlineExceededError,
-    "closed": ServiceClosedError,
-    "configuration": ConfigurationError,
-    "workload": WorkloadError,
-    "simulation": SimulationError,
-}
 
 
 def encode_error(exc: BaseException) -> Tuple[str, str, Dict[str, Any]]:
     """Map one exception onto a ``(code, message, extra)`` triple."""
-    if isinstance(exc, OverloadError):
-        return (
-            "overload", str(exc),
-            {"retry_after": getattr(exc, "retry_after", None)},
-        )
-    # Subclass ordering: DeadlineExceededError IS a ServiceTimeoutError.
-    if isinstance(exc, DeadlineExceededError):
-        return "deadline", str(exc), {}
-    if isinstance(exc, ServiceTimeoutError):
-        return "timeout", str(exc), {}
-    if isinstance(exc, ServiceClosedError):
-        return "closed", str(exc), {}
-    if isinstance(exc, SimulationError):
-        return (
-            "simulation", str(exc),
-            {"kernel": exc.kernel_name, "reason": exc.reason},
-        )
-    if isinstance(exc, ConfigurationError):
-        return "configuration", str(exc), {}
-    if isinstance(exc, WorkloadError):
-        return "workload", str(exc), {}
-    if isinstance(exc, ReproError):
-        return "repro", str(exc), {}
-    return "internal", f"{type(exc).__name__}: {exc}", {}
+    kind = error_kind(exc)
+    if kind is None:
+        return "internal", f"{type(exc).__name__}: {exc}", {}
+    extra = {n: getattr(exc, n, None) for n in kind.args if n != "message"}
+    return kind.wire, str(exc), extra
 
 
 def decode_error(
     code: str, message: str, extra: Dict[str, Any]
 ) -> ReproError:
     """Rebuild the exception a worker reported."""
-    if code == "overload":
-        return OverloadError(
-            message, retry_after=extra.get("retry_after")
-        )
-    if code == "simulation":
-        return SimulationError(
-            extra.get("kernel", "<unknown>"),
-            extra.get("reason", message),
-        )
-    cls = _ERROR_CODES.get(code, ReproError)
-    return cls(message)
+    kind = BY_WIRE.get(code, BY_WIRE["repro"])
+    args = (message if n == "message" else extra.get(n) for n in kind.args)
+    return kind.cls(*args)

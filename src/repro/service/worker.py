@@ -174,11 +174,7 @@ async def serve_worker(
                 break
             kind = frame[0]
             if kind == "query":
-                if len(frame) == 5:
-                    _, request_id, payload, timeout, deadline = frame
-                else:  # pre-deadline 4-tuple framing
-                    _, request_id, payload, timeout = frame
-                    deadline = None
+                _, request_id, payload, timeout, deadline = frame
                 task = loop.create_task(
                     answer(request_id, payload, timeout, deadline)
                 )

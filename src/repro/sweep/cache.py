@@ -14,7 +14,10 @@ change to a kernel, the space, or the engine changes the key and misses
 naturally.
 
 Cache entries live under ``$GPUSCALE_CACHE_DIR`` (default
-``~/.cache/gpuscale``), one atomic ``.npz`` per fingerprint. Corrupt or
+``~/.cache/gpuscale``), one atomic ``.npz`` per fingerprint:
+``sweep_<fp>.npz`` for datasets and ``energy_<fp>.npz`` for the query
+service's energy surfaces, which :meth:`SweepCache.entries` and
+:meth:`SweepCache.clear` cover alike. Corrupt or
 unreadable entries count as misses — the cache is an accelerator, never
 a correctness dependency. Datasets containing quarantined kernels are
 not cached: a frozen failure row would outlive the transient fault that
@@ -35,9 +38,13 @@ import hashlib
 import json
 import os
 import threading
+import zipfile
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+import numpy as np
+
+from repro.atomic import atomic_path
 from repro.errors import DatasetError, ReproError
 from repro.gpu.engine import EngineSpec, engine_fingerprint
 from repro.kernels.kernel import Kernel
@@ -51,6 +58,9 @@ CACHE_DIR_ENV = "GPUSCALE_CACHE_DIR"
 #: Bump to invalidate every existing entry after a model change that
 #: alters outputs without touching any fingerprinted input.
 CACHE_SCHEMA_VERSION = 1
+
+#: What an energy-surface entry holds: its arrays and work-item count.
+ENERGY_FIELDS = ("time_s", "power_w", "energy_j", "global_size")
 
 
 def default_cache_dir() -> Path:
@@ -159,9 +169,13 @@ class SweepCache:
         """Directory holding the cache entries."""
         return self._dir
 
-    def path_for(self, fingerprint: str) -> Path:
-        """Where the entry for *fingerprint* lives (existing or not)."""
-        return self._dir / f"sweep_{fingerprint}.npz"
+    def path_for(self, fingerprint: str, prefix: str = "sweep") -> Path:
+        """Where the entry for *fingerprint* lives (existing or not).
+
+        *prefix* names the entry's namespace: ``"sweep"`` for datasets,
+        ``"energy"`` for the service's energy surfaces.
+        """
+        return self._dir / f"{prefix}_{fingerprint}.npz"
 
     def load(self, fingerprint: str) -> Optional[ScalingDataset]:
         """The cached dataset, or ``None`` on miss.
@@ -243,13 +257,44 @@ class SweepCache:
         self._count("stores")
         return path
 
-    def invalidate(self, fingerprint: str) -> bool:
+    def load_energy(self, fingerprint: str) -> Optional[Dict[str, object]]:
+        """A cached energy surface as :data:`ENERGY_FIELDS`, or ``None``.
+
+        Misses, corrupt entries and races behave as in :meth:`load`.
+        """
+        try:
+            with np.load(self.path_for(fingerprint, "energy")) as data:
+                surface = {name: data[name] for name in ENERGY_FIELDS}
+        except FileNotFoundError:
+            self._count("misses")
+            return None
+        except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+            self.invalidate(fingerprint, "energy")
+            self._count("misses")
+            return None
+        surface["global_size"] = int(surface["global_size"])
+        self._count("hits")
+        return surface
+
+    def store_energy(self, fingerprint: str, surface: object) -> Path:
+        """Persist *surface*'s :data:`ENERGY_FIELDS` (atomic write)."""
+        self._dir.mkdir(parents=True, exist_ok=True)
+        path = self.path_for(fingerprint, "energy")
+        with atomic_path(path) as tmp, open(tmp, "wb") as handle:
+            np.savez(
+                handle,
+                **{name: getattr(surface, name) for name in ENERGY_FIELDS},
+            )
+        self._count("stores")
+        return path
+
+    def invalidate(self, fingerprint: str, prefix: str = "sweep") -> bool:
         """Drop one entry; ``True`` if something was deleted.
 
         Tolerates a concurrent delete (both callers report having
         invalidated, neither errors).
         """
-        path = self.path_for(fingerprint)
+        path = self.path_for(fingerprint, prefix)
         try:
             path.unlink()
             return True
@@ -259,10 +304,14 @@ class SweepCache:
             return False
 
     def entries(self) -> List[Path]:
-        """Every cache entry, sorted by name."""
+        """Every cache entry, datasets and energy surfaces, by name."""
         if not self._dir.is_dir():
             return []
-        return sorted(self._dir.glob("sweep_*.npz"))
+        return sorted(
+            path
+            for prefix in ("energy", "sweep")
+            for path in self._dir.glob(f"{prefix}_*.npz")
+        )
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""

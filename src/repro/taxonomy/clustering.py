@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import ClassificationError
 from repro.sweep.dataset import ScalingDataset
-from repro.sweep.views import Axis, axis_slice
+from repro.sweep.views import Axis, axis_lines, axis_slice
 from repro.taxonomy.classifier import TaxonomyResult
 
 #: Default cluster count: one per taxonomy category.
@@ -42,10 +42,14 @@ def shape_vector(dataset: ScalingDataset, kernel_name: str) -> np.ndarray:
 
 
 def shape_matrix(dataset: ScalingDataset) -> np.ndarray:
-    """Shape vectors for every kernel, shape (n_kernels, n_dims)."""
-    return np.stack(
-        [shape_vector(dataset, name) for name in dataset.kernel_names]
-    )
+    """Shape vectors for every kernel, shape (n_kernels, n_dims): row
+    *i* is :func:`shape_vector` of kernel *i*, computed for all kernels
+    at once from each axis's line matrix."""
+    parts = []
+    for axis in Axis:
+        lines = axis_lines(dataset, axis)
+        parts.append(np.log2(lines / lines[:, :1]))
+    return np.concatenate(parts, axis=1)
 
 
 def kmeans(

@@ -27,6 +27,18 @@ class TestShapeVectors:
         matrix = shape_matrix(archetype_dataset)
         assert matrix.shape[0] == archetype_dataset.num_kernels
 
+    def test_matrix_equals_stacked_vectors_on_the_catalog(
+        self, paper_dataset
+    ):
+        """The batched matrix is the per-kernel vectors, bit for bit."""
+        stacked = np.stack([
+            shape_vector(paper_dataset, name)
+            for name in paper_dataset.kernel_names
+        ])
+        matrix = shape_matrix(paper_dataset)
+        assert matrix.shape == stacked.shape
+        assert matrix.tobytes() == stacked.tobytes()
+
     def test_log_space_starts_at_zero(self, archetype_dataset):
         # Every slice is normalised to its first point: log2(1) = 0.
         vector = shape_vector(
