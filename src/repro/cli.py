@@ -779,6 +779,8 @@ def build_parser() -> argparse.ArgumentParser:
     transfer.add_argument("--json", action="store_true",
                           help="emit JSON instead of tables")
 
+    from repro.service.batcher import DEFAULT_MAX_WAIT_MS
+
     serve = sub.add_parser(
         "serve",
         help="run the async micro-batching HTTP query service",
@@ -796,10 +798,11 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="most queries coalesced into one engine "
                        "dispatch (default: 64)")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       metavar="MS",
-                       help="longest a query waits for batch peers "
-                       "(default: 2.0)")
+    serve.add_argument("--max-wait-ms", type=float,
+                       default=DEFAULT_MAX_WAIT_MS, metavar="MS",
+                       help="extra linger for batch peers after the "
+                       "queue is drained; 0 dispatches as soon as the "
+                       "engine is idle (default: %(default)g)")
     serve.add_argument("--queue-limit", type=int, default=1024,
                        metavar="N",
                        help="admission queue bound; beyond it "

@@ -26,50 +26,41 @@ an inference stack:
 ``gpuscale serve`` wires it all together.
 """
 
-from repro.service.batcher import (
-    DrainRateEstimator,
-    EnergyGridQuery,
-    GridQuery,
-    MicroBatcher,
-    OverloadError,
-    PairGridQuery,
-    PointQuery,
-    ServiceClosedError,
-    ServiceTimeoutError,
-)
-from repro.service.metrics import (
-    MetricsRegistry,
-    ServiceMetrics,
-    render_fleet,
-)
-from repro.service.router import (
-    FleetExecutor,
-    HashRing,
-    WorkerUnavailableError,
-)
-from repro.service.schema import RequestError, SCHEMA_VERSION
-from repro.service.server import GpuScaleService, ServiceConfig
-from repro.service.worker import WorkerConfig
+from importlib import import_module
 
-__all__ = [
-    "DrainRateEstimator",
-    "EnergyGridQuery",
-    "FleetExecutor",
-    "GpuScaleService",
-    "GridQuery",
-    "HashRing",
-    "MetricsRegistry",
-    "MicroBatcher",
-    "OverloadError",
-    "PairGridQuery",
-    "PointQuery",
-    "RequestError",
-    "SCHEMA_VERSION",
-    "ServiceClosedError",
-    "ServiceConfig",
-    "ServiceMetrics",
-    "ServiceTimeoutError",
-    "WorkerConfig",
-    "WorkerUnavailableError",
-    "render_fleet",
-]
+#: Public name -> the submodule defining it. Names resolve on first
+#: access, so importing one submodule (the CLI's argument parser reads
+#: the batcher's defaults) does not load the server, router and fleet.
+_EXPORTS = {
+    "DrainRateEstimator": "batcher",
+    "EnergyGridQuery": "batcher",
+    "GridQuery": "batcher",
+    "MicroBatcher": "batcher",
+    "OverloadError": "batcher",
+    "PairGridQuery": "batcher",
+    "PointQuery": "batcher",
+    "ServiceClosedError": "batcher",
+    "ServiceTimeoutError": "batcher",
+    "MetricsRegistry": "metrics",
+    "ServiceMetrics": "metrics",
+    "render_fleet": "metrics",
+    "FleetExecutor": "router",
+    "HashRing": "router",
+    "WorkerUnavailableError": "router",
+    "RequestError": "schema",
+    "SCHEMA_VERSION": "schema",
+    "GpuScaleService": "server",
+    "ServiceConfig": "server",
+    "WorkerConfig": "worker",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        )
+    return getattr(import_module(f"{__name__}.{module}"), name)

@@ -4,9 +4,17 @@ Concurrent queries arrive one HTTP request at a time, but the engines
 underneath are fastest when asked big questions: the study engine
 evaluates the entire kernel x configuration lattice in one broadcast.
 :class:`MicroBatcher` closes that gap the way an inference server
-batches model calls: queries wait in a bounded admission queue for at
-most ``max_wait_ms`` (or until ``max_batch`` of them have gathered),
-then the whole batch dispatches as the *fewest* engine calls that
+batches model calls (continuous batching): queries enter a bounded
+admission queue, and the collector is *work-conserving* — it takes
+the first queued query, drains every query already waiting behind it
+(up to ``max_batch``) without awaiting, and dispatches at once, so a
+query that finds the engine idle never waits on a timer. Batches grow
+under load by themselves: queries that arrive while one batch runs on
+the engine thread queue up and form the next batch as a whole.
+``max_wait_ms`` (default 0) is an optional linger on top: when
+positive and the drain left the batch short of ``max_batch``, the
+collector waits up to that long from the batch's first query for more
+peers. Each batch dispatches as the *fewest* engine calls that
 preserve bit-exactness:
 
 * grid queries sharing a configuration space coalesce into **one**
@@ -58,8 +66,9 @@ from repro.kernels.kernel import Kernel
 from repro.sweep.cache import sweep_fingerprint
 from repro.sweep.space import ConfigurationSpace
 
-#: Default coalescing window (milliseconds).
-DEFAULT_MAX_WAIT_MS = 2.0
+#: Default linger for batch peers (milliseconds): 0 dispatches as
+#: soon as the engine is idle.
+DEFAULT_MAX_WAIT_MS = 0.0
 
 #: Default batch-size cap.
 DEFAULT_MAX_BATCH = 64
@@ -627,33 +636,35 @@ class MicroBatcher:
     # ------------------------------------------------------------------
 
     async def _collect_loop(self) -> None:
+        """Form batches and dispatch them, one at a time: the first
+        queued entry plus every entry queued behind it, then a linger
+        (armed only when ``max_wait_ms > 0``) while the batch is short
+        of ``max_batch``. Arrivals during a dispatch form the next one.
+        """
         loop = asyncio.get_running_loop()
         queue = self._queue
         while True:
             entry = await queue.get()
-            self._note_queue_depth()
-            if entry is _STOP:
-                return
-            batch = [entry]
-            deadline = loop.time() + self._max_wait_s
-            stop_seen = False
-            while len(batch) < self._max_batch:
-                remaining = deadline - loop.time()
+            linger_until = loop.time() + self._max_wait_s
+            batch: List[Tuple[Query, asyncio.Future, Any]] = []
+            while entry is not _STOP:
+                batch.append(entry)
+                if len(batch) >= self._max_batch:
+                    break
+                if not queue.empty():
+                    entry = queue.get_nowait()
+                    continue
+                remaining = linger_until - loop.time()
                 if remaining <= 0:
                     break
                 try:
-                    entry = await asyncio.wait_for(
-                        queue.get(), remaining
-                    )
+                    entry = await asyncio.wait_for(queue.get(), remaining)
                 except asyncio.TimeoutError:
                     break
-                self._note_queue_depth()
-                if entry is _STOP:
-                    stop_seen = True
-                    break
-                batch.append(entry)
-            await self._run_batch(batch)
-            if stop_seen:
+            self._note_queue_depth()
+            if batch:
+                await self._run_batch(batch)
+            if entry is _STOP:
                 return
 
     async def _run_batch(

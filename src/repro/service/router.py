@@ -60,6 +60,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import ReproError
 from repro.service import transport
 from repro.service.batcher import (
+    DEFAULT_MAX_WAIT_MS,
     DeadlineExceededError,
     DrainRateEstimator,
     OverloadError,
@@ -231,7 +232,7 @@ class FleetExecutor:
         *,
         engine: str = "interval",
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
+        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         queue_limit: int = 1024,
         use_cache: bool = True,
         cache_dir: Optional[str] = None,
@@ -462,10 +463,14 @@ class FleetExecutor:
         handle.connected = True
 
     async def _supervise(self, handle: _WorkerHandle) -> None:
-        """Read frames until shutdown, restarting a dead worker."""
+        """Read frames until shutdown, restarting a dead worker.
+
+        Only the EOF read here ends a worker's life: :meth:`_send` may
+        mark the handle disconnected earlier, which must not stop the
+        restart. The loop ends with the fleet, or when a restart gives
+        up because the fleet closed or the worker drained while down.
+        """
         while True:
-            if not handle.connected or handle.reader is None:
-                return
             frame = None
             try:
                 frame = await transport.read_frame(handle.reader)
@@ -485,6 +490,8 @@ class FleetExecutor:
             ):
                 return
             await self._restart(handle)
+            if not handle.connected:
+                return
 
     def _fail_control(self, handle: _WorkerHandle, message: str) -> None:
         """Fail pending control round-trips so nothing awaits a ghost."""
@@ -562,11 +569,19 @@ class FleetExecutor:
         self, handle: _WorkerHandle, frame: Tuple[Any, ...]
     ) -> None:
         """Best-effort frame write; a dead socket is the supervisor's
-        problem (EOF -> restart -> resubmit), not the submitter's."""
-        if not handle.connected or handle.writer is None:
+        problem (EOF -> restart -> resubmit), not the submitter's.
+
+        A writer that is closing has lost its peer: the frame is not
+        written (a query stays parked in ``inflight`` for
+        :meth:`_resubmit`) and the handle counts as down from here on.
+        """
+        writer = handle.writer
+        if writer is None or writer.is_closing():
+            handle.connected = False
+        if not handle.connected:
             return
         try:
-            transport.send_frame(handle.writer, frame)
+            transport.send_frame(writer, frame)
         except (ConnectionError, OSError, RuntimeError):
             handle.connected = False
 
@@ -652,6 +667,23 @@ class FleetExecutor:
         """The first live, breaker-closed worker in the shard's chain."""
         for handle in self._candidates(query):
             if handle.available and handle.breaker.allow(now):
+                return handle
+        return None
+
+    def _first_restarting(
+        self, query: Query, now: float
+    ) -> Optional[_WorkerHandle]:
+        """The first down, breaker-admitted worker in the shard's
+        chain whose supervisor is still alive to respawn it; a dispatch
+        placed there is sent by :meth:`_resubmit` once it is back."""
+        for handle in self._candidates(query):
+            if (
+                not handle.connected
+                and not handle.draining
+                and handle.breaker.allow(now)
+                and handle.supervisor is not None
+                and not handle.supervisor.done()
+            ):
                 return handle
         return None
 
@@ -811,6 +843,11 @@ class FleetExecutor:
         # neighbour would break the single-flight cache placement, so
         # a saturated owner still answers 429 with a backoff hint.
         primary = self._first_eligible(query, now)
+        if primary is None:
+            # No live worker can take it: park on one that is
+            # restarting, so the query waits for the respawn (bounded
+            # by its budget) instead of failing while it happens.
+            primary = self._first_restarting(query, now)
         if primary is None:
             raise self._no_target_error(query, now)
         if len(primary.inflight) >= self._inflight_limit:

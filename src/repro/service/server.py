@@ -52,6 +52,7 @@ import numpy as np
 from repro.errors import ReproError
 from repro.service import schema
 from repro.service.batcher import (
+    DEFAULT_MAX_WAIT_MS,
     EnergyGridQuery,
     GridQuery,
     MicroBatcher,
@@ -125,7 +126,7 @@ class ServiceConfig:
     port: int = 8000
     engine: str = "interval"
     max_batch: int = 64
-    max_wait_ms: float = 2.0
+    max_wait_ms: float = DEFAULT_MAX_WAIT_MS
     queue_limit: int = 1024
     request_timeout_s: float = 30.0
     use_cache: bool = True
@@ -806,8 +807,9 @@ class GpuScaleService:
     ) -> Dict[str, Any]:
         from repro.predict.what_if import STANDARD_SCENARIOS
 
-        # Baseline plus every scenario submitted together: the batcher
-        # coalesces all seven evaluations into one micro-batch.
+        # Baseline plus every scenario submitted together: all seven
+        # are queued before the batcher's collector runs again, and
+        # its drain takes them as one micro-batch.
         kernels = [request.kernel] + [
             scenario.apply(request.kernel)
             for scenario in STANDARD_SCENARIOS

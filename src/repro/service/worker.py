@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.service import transport
-from repro.service.batcher import MicroBatcher
+from repro.service.batcher import DEFAULT_MAX_WAIT_MS, MicroBatcher
 from repro.service.chaos import ChaosConfig, ChaosInjector
 from repro.service.metrics import ServiceMetrics
 
@@ -62,7 +62,7 @@ class WorkerConfig:
     worker_id: int
     engine: str = "interval"
     max_batch: int = 64
-    max_wait_ms: float = 2.0
+    max_wait_ms: float = DEFAULT_MAX_WAIT_MS
     queue_limit: int = 1024
     use_cache: bool = True
     cache_dir: Optional[str] = None

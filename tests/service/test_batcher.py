@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 from repro.errors import ReproError, SimulationError
 from repro.gpu import W9100_LIKE, HardwareConfig
 from repro.gpu.simulator import GpuSimulator
+from repro.service import batcher as batcher_module
 from repro.service.batcher import (
+    DEFAULT_MAX_WAIT_MS,
     GridQuery,
     GridResult,
     MicroBatcher,
@@ -90,6 +92,21 @@ class GatedSimulator:
     def simulate(self, kernel, config):
         assert self.gate.wait(timeout=30), "test gate never opened"
         return self._inner.simulate(kernel, config)
+
+
+class GatedPointSimulator(CountingSimulator):
+    """Counting wrapper whose point evaluations block until the gate
+    opens; grid and study calls pass straight through."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+
+    def simulate(self, kernel, config):
+        self.entered.set()
+        assert self.gate.wait(timeout=30), "test gate never opened"
+        return super().simulate(kernel, config)
 
 
 class PoisonedPointSimulator:
@@ -186,6 +203,117 @@ class TestLifecycle:
                 await batcher.stop()
 
         run(scenario())
+
+
+class TestWorkConservingPolicy:
+    """The collector dispatches as soon as the engine is idle; batches
+    grow only from queries that queue while the engine is busy (or,
+    with a positive ``max_wait_ms``, during an explicit linger)."""
+
+    @pytest.mark.parametrize(
+        "max_wait_ms, timers", [(DEFAULT_MAX_WAIT_MS, 0), (5.0, 1)]
+    )
+    def test_lone_query_arms_a_timer_only_when_lingering(
+        self, archetype_kernels, monkeypatch, max_wait_ms, timers
+    ):
+        armed = []
+        real_wait_for = asyncio.wait_for
+
+        def spy(awaitable, timeout):
+            if getattr(awaitable, "__qualname__", "") == "Queue.get":
+                armed.append(timeout)
+            return real_wait_for(awaitable, timeout)
+
+        monkeypatch.setattr(batcher_module.asyncio, "wait_for", spy)
+        query = PointQuery(archetype_kernels[0], W9100_LIKE)
+
+        async def scenario():
+            batcher = await make_batcher(
+                GpuSimulator("interval"), max_wait_ms=max_wait_ms
+            )
+            try:
+                result = await batcher.submit(query)
+                return result, batcher.batches_dispatched
+            finally:
+                await batcher.stop()
+
+        result, batches = run(scenario())
+        assert DEFAULT_MAX_WAIT_MS == 0.0
+        assert len(armed) == timers
+        assert batches == 1
+        expected = GpuSimulator("interval").simulate(
+            query.kernel, query.config
+        )
+        assert result.items_per_second == float(
+            expected.items_per_second
+        )
+
+    def test_arrivals_during_a_batch_form_the_next_batch(
+        self, archetype_kernels, small_space
+    ):
+        engine = GatedPointSimulator(GpuSimulator("interval"))
+        grids = [GridQuery(k, small_space) for k in archetype_kernels[:5]]
+
+        async def scenario():
+            batcher = await make_batcher(engine)
+            try:
+                blocker = asyncio.ensure_future(
+                    batcher.submit(
+                        PointQuery(archetype_kernels[0], W9100_LIKE)
+                    )
+                )
+                # Batch 1 holds the engine thread at the gate...
+                while not engine.entered.is_set():
+                    await asyncio.sleep(0.001)
+                # ...while every grid query queues behind it.
+                waiting = [
+                    asyncio.ensure_future(batcher.submit(q))
+                    for q in grids
+                ]
+                while batcher.pending < len(grids):
+                    await asyncio.sleep(0)
+                engine.gate.set()
+                await blocker
+                results = await asyncio.gather(*waiting)
+                return results, batcher.batches_dispatched
+            finally:
+                await batcher.stop()
+
+        results, batches = run(scenario())
+        assert batches == 2
+        assert engine.point_calls == 1
+        assert engine.study_calls == 1
+        assert engine.grid_calls == 0
+        direct = GpuSimulator("interval")
+        for query, result in zip(grids, results):
+            expected = direct.simulate_grid(query.kernel, small_space)
+            np.testing.assert_array_equal(
+                result.items_per_second, expected.items_per_second
+            )
+
+    def test_whatif_points_share_one_batch_by_default(self):
+        from repro.service.loadgen import fetch
+        from repro.service.server import GpuScaleService, ServiceConfig
+
+        async def scenario():
+            service = GpuScaleService(
+                ServiceConfig(port=0, use_cache=False)
+            )
+            await service.start()
+            try:
+                status, _ = await fetch(
+                    service.config.host, service.port, "POST",
+                    "/v1/whatif", {"kernel": "rodinia/bfs.kernel1"},
+                )
+            finally:
+                await service.shutdown(drain=True)
+            return status, service.metrics
+
+        status, metrics = run(scenario())
+        assert status == 200
+        # Baseline plus six scenarios, submitted together: one batch.
+        assert metrics.batch_size.sum == 7
+        assert metrics.batch_size.count == 1
 
 
 class TestBitExactness:

@@ -28,7 +28,7 @@ class TestParser:
         assert args.port == 8000
         assert args.engine == "interval"
         assert args.max_batch == 64
-        assert args.max_wait_ms == 2.0
+        assert args.max_wait_ms == 0.0
 
     def test_serve_engine_choices_are_registry_backed(self):
         from repro.gpu.engine import engine_names

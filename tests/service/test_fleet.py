@@ -18,6 +18,7 @@ Three invariants from the fleet design are pinned here:
 from __future__ import annotations
 
 import asyncio
+import logging
 import os
 import signal
 
@@ -27,6 +28,7 @@ import pytest
 from repro.gpu import W9100_LIKE, HardwareConfig
 from repro.gpu.simulator import GpuSimulator
 from repro.service.batcher import (
+    DeadlineExceededError,
     GridQuery,
     PointQuery,
     ServiceClosedError,
@@ -468,6 +470,127 @@ class TestFleetResilience:
             f'gpuscale_hedges_total{{shard="{1 - target}", '
             'outcome="won"} 1' in text
         )
+
+
+class TestFleetRespawnWindow:
+    """While workers respawn, queries wait for them within their
+    budget, and frames bound for a dead peer stay parked."""
+
+    def test_queries_wait_for_a_respawn_when_every_worker_is_down(self):
+        kernel = kernel_by_name(KERNEL)
+        point_query = PointQuery(kernel, W9100_LIKE)
+        grid_query = GridQuery(kernel, PAPER_SPACE)
+
+        async def scenario():
+            fleet = FleetExecutor(2, use_cache=False)
+            await fleet.start()
+            try:
+                await _kill_every_worker(fleet)
+                point, grid = await asyncio.gather(
+                    fleet.submit(point_query, timeout=30.0),
+                    fleet.submit(grid_query, timeout=30.0),
+                )
+                states = fleet.worker_states()
+            finally:
+                await fleet.stop(drain=True)
+            return point, grid, states
+
+        point, grid, states = run(scenario())
+
+        # Every worker was down at submission: a respawn answered.
+        assert any(state["restarts"] >= 1 for state in states)
+        direct = GpuSimulator("interval")
+        expected_point = direct.simulate(kernel, W9100_LIKE)
+        assert point.time_s == float(expected_point.time_s)
+        assert point.items_per_second == float(
+            expected_point.items_per_second
+        )
+        np.testing.assert_array_equal(
+            grid.items_per_second,
+            direct.simulate_grid(kernel, PAPER_SPACE).items_per_second,
+        )
+
+    def test_deadline_shorter_than_a_respawn_is_a_deadline_error(self):
+        query = PointQuery(kernel_by_name(KERNEL), W9100_LIKE)
+
+        async def scenario():
+            fleet = FleetExecutor(2, use_cache=False)
+            await fleet.start()
+            try:
+                await _kill_every_worker(fleet)
+                loop = asyncio.get_running_loop()
+                with pytest.raises(DeadlineExceededError):
+                    await fleet.submit(
+                        query, deadline=loop.time() + 0.05
+                    )
+                # The fleet still comes back and answers.
+                return await fleet.submit(query, timeout=30.0)
+            finally:
+                await fleet.stop(drain=True)
+
+        result = run(scenario())
+        expected = GpuSimulator("interval").simulate(
+            query.kernel, W9100_LIKE
+        )
+        assert result.items_per_second == float(
+            expected.items_per_second
+        )
+
+    def test_burst_to_a_dead_worker_is_parked_not_written(self, caplog):
+        from repro.predict.what_if import STANDARD_SCENARIOS
+
+        kernel = kernel_by_name(KERNEL)
+        # A what-if request's seven point queries: the scenario
+        # kernels keep the base kernel's name, so all share one shard.
+        queries = [PointQuery(kernel, W9100_LIKE)] + [
+            PointQuery(scenario.apply(kernel), W9100_LIKE)
+            for scenario in STANDARD_SCENARIOS
+        ]
+        caplog.set_level(logging.WARNING, logger="asyncio")
+
+        async def scenario():
+            fleet = FleetExecutor(2, use_cache=False)
+            await fleet.start()
+            try:
+                owners = {fleet.worker_for(q) for q in queries}
+                assert len(owners) == 1
+                process = fleet._handles[owners.pop()].process
+                os.kill(process.pid, signal.SIGKILL)
+                # Block the loop until the process is gone: the
+                # router has not read the EOF yet when the burst goes.
+                process.join(10)
+                return await asyncio.gather(
+                    *(fleet.submit(q, timeout=30.0) for q in queries)
+                )
+            finally:
+                await fleet.stop(drain=True)
+
+        results = run(scenario())
+
+        assert len(queries) == 7
+        direct = GpuSimulator("interval")
+        for query, result in zip(queries, results):
+            expected = direct.simulate(query.kernel, query.config)
+            assert result.time_s == float(expected.time_s)
+            assert result.items_per_second == float(
+                expected.items_per_second
+            )
+        lost_writes = [
+            record
+            for record in caplog.records
+            if record.name == "asyncio"
+            and "socket.send() raised exception" in record.getMessage()
+        ]
+        assert not lost_writes
+
+
+async def _kill_every_worker(fleet):
+    """SIGKILL every worker; return once the router has seen all of
+    them go down (their respawns are then under way)."""
+    for state in fleet.worker_states():
+        os.kill(state["pid"], signal.SIGKILL)
+    while any(handle.connected for handle in fleet._handles):
+        await asyncio.sleep(0.001)
 
 
 async def _render(metrics):
