@@ -19,7 +19,9 @@ import asyncio
 import json
 import os
 import re
+import time
 
+from repro.gpu import GpuSimulator
 from repro.service.loadgen import (
     encode_request,
     fetch,
@@ -238,6 +240,23 @@ def test_fleet_load_sustains_floor():
     assert batches > 0
 
 
+class _SlowPointSimulator:
+    """Point engine with a fixed per-call cost, to set a known knee."""
+
+    supports_point = True
+    supports_grid = False
+    supports_study = False
+    engine_name = "interval"
+
+    def __init__(self, delay_s: float):
+        self._inner = GpuSimulator("interval")
+        self._delay_s = delay_s
+
+    def simulate(self, kernel, config):
+        time.sleep(self._delay_s)
+        return self._inner.simulate(kernel, config)
+
+
 def test_open_loop_saturation_past_the_knee():
     """Fixed-rate arrivals through and past the service's knee.
 
@@ -245,12 +264,20 @@ def test_open_loop_saturation_past_the_knee():
     2.5x measured capacity the service must shed with 429s — never
     socket errors or silent drops — and arrival-to-completion latency
     must visibly grow. Both rungs land in the artifact.
+
+    The service answers with a ~2 ms-per-point engine and one query
+    per batch, so its capacity (~500 req/s) sits well below what the
+    in-process open-loop client can offer: the past-knee rung really
+    is past the service's knee, not the client's.
     """
     pool = standard_point_payloads(KERNELS, CONFIGS)
 
     async def scenario():
         service = GpuScaleService(
-            ServiceConfig(port=0, use_cache=False, queue_limit=16)
+            ServiceConfig(
+                port=0, use_cache=False, queue_limit=16, max_batch=1
+            ),
+            simulator=_SlowPointSimulator(0.002),
         )
         await service.start()
         host, port = service.config.host, service.port

@@ -19,9 +19,6 @@ import json
 import os
 import time
 
-from repro.gpu.interval_batch import BatchIntervalModel
-from repro.gpu.study_mt import StudyMTModel
-from repro.kernels import KernelPack
 from repro.suites import all_kernels
 from repro.sweep import PAPER_SPACE, SweepRunner, reduced_space
 
@@ -152,91 +149,6 @@ def test_study_speedup_over_batch_loop():
     assert speedup > 1.0
 
 
-#: One persistent multi-core study engine for the whole benchmark
-#: session, so its process pool survives across rounds (pool start-up
-#: is a one-time cost in production too, not a per-study cost).
-_STUDY_MT_ENGINE = None
-
-
-def _study_mt_engine():
-    global _STUDY_MT_ENGINE
-    if _STUDY_MT_ENGINE is None:
-        _STUDY_MT_ENGINE = StudyMTModel()
-    return _STUDY_MT_ENGINE
-
-
-def test_study_mt_throughput(benchmark):
-    """Multi-core study path: kernel-axis tiles over the process pool."""
-    pack = KernelPack.from_kernels(all_kernels())
-    engine = _study_mt_engine()
-
-    benchmark(lambda: engine.simulate_study(pack, PAPER_SPACE))
-
-    seconds = benchmark.stats.stats.mean
-    points = len(pack) * PAPER_SPACE.size
-    points_per_second = points / seconds
-    _record("study-mt", points, seconds)
-    stats = engine.last_stats
-    _MEASUREMENTS["study-mt"].update(
-        cores=os.cpu_count(),
-        pool_workers=engine.workers,
-        pool_used=stats.used_pool,
-        shm_used=stats.shm_used,
-    )
-    print(f"\nstudy-mt throughput: {points_per_second:,.0f} points/s "
-          f"({points} points in {seconds * 1e3:.1f} ms, "
-          f"{engine.workers} workers, pool_used={stats.used_pool})")
-    # Same floor as the single-core study path: even with no usable
-    # pool the serial fallback is the batch engine plus tile bookkeeping.
-    assert points_per_second > 500_000
-
-
-def test_study_mt_speedup_over_single_core_study():
-    """Hardware-gated floor: ≥ 2x the single-core study on ≥ 4 cores.
-
-    On machines without enough cores (or where process pools cannot be
-    created at all) the pool cannot pay for its IPC, so the gate
-    degrades to the single-core sanity floor instead of a speedup.
-    """
-    pack = KernelPack.from_kernels(all_kernels())
-    engine = _study_mt_engine()
-    engine.simulate_study(pack, PAPER_SPACE)  # warm the pool + caches
-
-    single = BatchIntervalModel()
-    single.simulate_study(pack, PAPER_SPACE)  # warm the uarch state
-
-    single_s = min(
-        _timed(lambda: single.simulate_study(pack, PAPER_SPACE))
-        for _ in range(3)
-    )
-    mt_s = min(
-        _timed(lambda: engine.simulate_study(pack, PAPER_SPACE))
-        for _ in range(3)
-    )
-
-    points = len(pack) * PAPER_SPACE.size
-    speedup = single_s / mt_s
-    cores = os.cpu_count() or 1
-    gated = cores >= 4 and engine.last_stats.used_pool
-    _MEASUREMENTS.setdefault("study-mt", {}).update(
-        speedup_vs_study=float(speedup),
-        speedup_gate_active=bool(gated),
-    )
-    print(f"\nstudy-mt-vs-study speedup: {speedup:.2f}x "
-          f"({cores} cores, gate {'on' if gated else 'off'}: "
-          f"single {single_s * 1e3:.1f} ms, tiled {mt_s * 1e3:.1f} ms)")
-    if gated:
-        assert speedup >= 2.0
-    else:
-        assert points / mt_s > 500_000
-
-
-def _timed(fn):
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
-
-
 def test_emit_trajectory_artifact():
     """Write this run's sweep measurements to ``BENCH_sweep.json``.
 
@@ -249,5 +161,3 @@ def test_emit_trajectory_artifact():
         json.dump({"sweep": _MEASUREMENTS}, handle, indent=1)
         handle.write("\n")
     print(f"\nsweep trajectory written to {_ARTIFACT_PATH}")
-    if _STUDY_MT_ENGINE is not None:
-        _STUDY_MT_ENGINE.close()

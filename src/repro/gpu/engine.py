@@ -432,12 +432,6 @@ def _interval_batch_factory(**kwargs: Any) -> Any:
     return BatchIntervalModel(**kwargs)
 
 
-def _study_mt_factory(**kwargs: Any) -> Any:
-    from repro.gpu.study_mt import StudyMTModel
-
-    return StudyMTModel(**kwargs)
-
-
 def _event_factory(**kwargs: Any) -> Any:
     from repro.gpu.event_sim import EventSimulator
 
@@ -465,10 +459,6 @@ INTERVAL_DESCRIPTOR = EngineDescriptor(name="interval", family="interval")
 INTERVAL_BATCH_DESCRIPTOR = EngineDescriptor(
     name="interval-batch", family="interval"
 )
-# study-mt shares the interval family at version 1, so it shares the
-# family's fingerprint material — and therefore its cache entries —
-# exactly as the bit-exactness tests demand.
-STUDY_MT_DESCRIPTOR = EngineDescriptor(name="study-mt", family="interval")
 EVENT_DESCRIPTOR = EngineDescriptor(
     name="event", family="event", fidelity="reference"
 )
@@ -507,15 +497,6 @@ def _register_builtins() -> None:
         descriptor=INTERVAL_BATCH_DESCRIPTOR,
         summary="vectorized interval model (per-kernel grid and "
         "whole-study kernel-axis batching)",
-        replace=True,
-    )
-    register_engine(
-        "study-mt",
-        _study_mt_factory,
-        capabilities=EngineCapabilities(study=True),
-        descriptor=STUDY_MT_DESCRIPTOR,
-        summary="multi-core study engine: kernel-axis tiles across a "
-        "process pool assembled through shared memory",
         replace=True,
     )
     register_engine(

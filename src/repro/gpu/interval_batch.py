@@ -34,6 +34,7 @@ operation order, so the paths agree bit for bit in practice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Dict, NamedTuple
@@ -65,7 +66,16 @@ from repro.gpu.occupancy import (
 )
 from repro.kernels.kernel import Kernel
 from repro.kernels.pack import CHARACTERISTIC_FIELDS, KernelPack
+from repro.tiles import tile_bounds
 from repro.units import ns_to_seconds, us_to_seconds
+
+#: Lattice points per kernel-axis tile of
+#: :meth:`BatchIntervalModel.simulate_study`: 18 kernels of the
+#: 891-point paper grid, so each float64 temporary of
+#: :func:`interval_terms` is under 128 KiB and stays in cache instead
+#: of streaming ~1.9 MB for the whole 267-kernel pack (DESIGN.md, "The
+#: kernel-axis tiling invariant", has the measurements).
+STUDY_TILE_POINTS = 16_384
 
 #: Names of the overlappable intervals, in the scalar model's
 #: tie-breaking order (``IntervalBreakdown.bottleneck`` keeps the first
@@ -283,18 +293,21 @@ class BatchIntervalModel:
         The kernel axis joins the broadcast: per-kernel quantities are
         ``(K, 1, 1, 1)`` columns, dispatch/cache/DRAM-efficiency state
         is a ``(K, C, 1, 1)`` matrix, and the clock terms keep their
-        grid shapes — the whole 267-kernel x 891-configuration study
-        collapses into one :func:`interval_terms` call with no Python
-        loop over kernels or CUs. Every expression is elementwise, so
-        slicing the result along the kernel axis reproduces
-        :meth:`simulate_grid` for that kernel bit for bit
+        grid shapes, with no Python loop over kernels or CUs. The
+        hoisted state is computed once for the whole pack; the clock
+        lattice is then evaluated in kernel-axis tiles of about
+        :data:`STUDY_TILE_POINTS` points, so that each of
+        :func:`interval_terms`' full-lattice temporaries stays in cache
+        (DESIGN.md, "The kernel-axis tiling invariant"). Every
+        expression is elementwise over the kernel row, so slicing the
+        result along the kernel axis reproduces :meth:`simulate_grid`
+        for that kernel bit for bit, whatever the tiling
         (``tests/gpu/test_study_engine.py``). No breakdown is
         materialised: only ``time_s`` grows to the full 4-D shape.
         """
         uarch = space.uarch
         n_cu, n_eng, n_mem = space.shape
         n_kernels = len(pack)
-        shape = (n_kernels, n_cu, n_eng, n_mem)
 
         def col(values: np.ndarray) -> np.ndarray:
             """A per-kernel vector as a (K, 1, 1, 1) broadcast column."""
@@ -320,34 +333,46 @@ class BatchIntervalModel:
             pack.ch("row_locality_sensitivity"),
             dispatch.active_cus,
         )
-        columns = SimpleNamespace(
-            global_bytes_per_item=col(pack.global_bytes_per_item),
+        characteristics = {
+            "global_bytes_per_item": col(pack.global_bytes_per_item),
             **{name: col(pack.ch(name)) for name in CHARACTERISTIC_FIELDS},
-        )
+        }
+        hoisted = {
+            "items": col(pack.geometry["global_size"].astype(np.float64)),
+            "total_waves": col(pack.total_waves.astype(np.float64)),
+            "num_workgroups": col(pack.num_workgroups),
+            "waves_per_cu": col(occupancy.waves_per_cu),
+            "active_cus": matrix(dispatch.active_cus),
+            "quantisation": matrix(dispatch.quantisation_factor),
+            "resident_total": matrix(dispatch.resident_workgroups_total),
+            "l1_hit_rate": col(caches.l1_hit_rate),
+            "dram_fraction": matrix(caches.dram_fraction),
+            "efficiency": matrix(efficiency),
+        }
+        axes = grid_axes(space)
 
-        terms = interval_terms(
-            uarch=uarch,
-            ch=columns,
-            items=col(pack.geometry["global_size"].astype(np.float64)),
-            total_waves=col(pack.total_waves.astype(np.float64)),
-            num_workgroups=col(pack.num_workgroups),
-            waves_per_cu=col(occupancy.waves_per_cu),
-            active_cus=matrix(dispatch.active_cus),
-            quantisation=matrix(dispatch.quantisation_factor),
-            resident_total=matrix(dispatch.resident_workgroups_total),
-            l1_hit_rate=col(caches.l1_hit_rate),
-            dram_fraction=matrix(caches.dram_fraction),
-            efficiency=matrix(efficiency),
-            **grid_axes(space),
-        )
-        time_s = _materialise(terms.time_s, shape)
+        # --- Clock lattice, one kernel-axis tile at a time -------------
+        time_s = np.empty((n_kernels, n_cu, n_eng, n_mem), dtype=np.float64)
+        dram_bytes = np.empty((n_kernels, n_cu), dtype=np.float64)
+        tile_rows = max(1, STUDY_TILE_POINTS // space.size)
+        for lo, hi in tile_bounds(n_kernels, math.ceil(n_kernels / tile_rows)):
+            terms = interval_terms(
+                uarch=uarch,
+                ch=SimpleNamespace(
+                    **{name: v[lo:hi] for name, v in characteristics.items()}
+                ),
+                **{name: v[lo:hi] for name, v in hoisted.items()},
+                **axes,
+            )
+            time_s[lo:hi] = terms.time_s
+            dram_bytes[lo:hi] = terms.dram_bytes.reshape(hi - lo, n_cu)
         return StudyGridResult(
             kernel_names=pack.names,
             time_s=time_s,
             items_per_second=col(pack.geometry["global_size"]) / time_s,
             occupancy=occupancy,
             l2_hit_rate=caches.l2_hit_rate,
-            dram_bytes=terms.dram_bytes.reshape(n_kernels, n_cu),
+            dram_bytes=dram_bytes,
             global_size=pack.geometry["global_size"].copy(),
         )
 

@@ -101,23 +101,24 @@ class MemoryModel:
             raise ValueError(
                 f"active_cus must be >= 1, got {int(active_cus.min())}"
             )
-        exponent = (
-            row_locality_sensitivity.reshape(-1, 1)
-            * ROW_LOCALITY_EXPONENT
+        # Number the distinct exponents (one per kernel at most) and CU
+        # counts, then evaluate each (CU, exponent) pair that occurs once.
+        exponents, exponent_index = np.unique(
+            row_locality_sensitivity * ROW_LOCALITY_EXPONENT,
+            return_inverse=True,
         )
-        active_f = active_cus.astype(np.float64)
-        pairs = np.stack(
-            [
-                active_f.ravel(),
-                np.broadcast_to(exponent, active_f.shape).ravel(),
-            ],
-            axis=1,
+        bases, base_index = np.unique(active_cus, return_inverse=True)
+        pair_index = (
+            base_index.reshape(active_cus.shape) * len(exponents)
+            + exponent_index.reshape(-1, 1)
         )
-        unique, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        powered = np.asarray(
-            [float(base) ** (-float(exp)) for base, exp in unique]
-        )
-        interleave_penalty = powered[inverse].reshape(active_f.shape)
+        pairs, inverse = np.unique(pair_index, return_inverse=True)
+        powered = np.asarray([
+            float(bases[pair // len(exponents)])
+            ** (-float(exponents[pair % len(exponents)]))
+            for pair in pairs.tolist()
+        ])
+        interleave_penalty = powered[inverse].reshape(active_cus.shape)
         efficiency = (
             coalescing_efficiency.reshape(-1, 1) * interleave_penalty
         )

@@ -121,8 +121,9 @@ class GpuSimulator:
         return engine_registration(self._name).descriptor
 
     def close(self) -> None:
-        """Release what the resolved engines hold (the ``study-mt``
-        process pool); each recreates it lazily on its next call."""
+        """Release what the resolved engines hold (any engine with a
+        ``close`` method, such as one owning a process pool); each
+        recreates it lazily on its next call."""
         for engine in self._engines:
             getattr(engine, "close", lambda: None)()
 

@@ -129,45 +129,6 @@ class KernelPack:
             ),
         )
 
-    def subset(self, lo: int, hi: int) -> "KernelPack":
-        """A contiguous kernel-row slice ``[lo, hi)`` as its own pack.
-
-        Every array is re-materialised contiguous, so a tile shipped to
-        a worker process pickles only its own rows, not the parent
-        catalog's. Values are copied verbatim — no re-derivation — so a
-        sliced pack evaluates bit-identically to the same rows of the
-        parent (the kernel-axis tiling invariant the study-mt engine
-        relies on).
-        """
-        if not 0 <= lo < hi <= len(self):
-            raise WorkloadError(
-                f"invalid pack slice [{lo}, {hi}) of {len(self)} kernels"
-            )
-        sl = slice(lo, hi)
-        return KernelPack(
-            names=self.names[sl],
-            programs=self.programs[sl],
-            kernel_names=self.kernel_names[sl],
-            suites=self.suites[sl],
-            characteristics={
-                field: np.ascontiguousarray(arr[sl])
-                for field, arr in self.characteristics.items()
-            },
-            geometry={
-                field: np.ascontiguousarray(arr[sl])
-                for field, arr in self.geometry.items()
-            },
-            resources={
-                field: np.ascontiguousarray(arr[sl])
-                for field, arr in self.resources.items()
-            },
-            num_workgroups=np.ascontiguousarray(self.num_workgroups[sl]),
-            waves_per_workgroup=np.ascontiguousarray(
-                self.waves_per_workgroup[sl]
-            ),
-            total_waves=np.ascontiguousarray(self.total_waves[sl]),
-        )
-
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------

@@ -1,17 +1,18 @@
-"""Supervised kernel-axis tile executor for the multi-core paths.
+"""Supervised kernel-axis tile executor for the multi-core sweep.
 
-Every kernel row of the study is independent, so both multi-core
-evaluators — :class:`~repro.sweep.parallel.ParallelSweepRunner` and the
-``study-mt`` engine — split the kernel axis into contiguous tiles and
-hand them to one :class:`TileExecutor`. A caller supplies a
-module-level *tile function* (``payload -> result dict``, whose
-``"rows"`` are the tile's float64 result rows) and an ``on_tile``
-callback; the executor owns the persistent pool, the shared-memory
-write-back of rows, per-tile timeouts, retries and the serial fallback,
-which calls the same tile function in-process (so fault hooks meant for
-workers check :func:`in_worker`). DESIGN.md, "Tile executor", has the
-rules. The module is neutral in the package hierarchy: ``repro.gpu``
-must not import ``repro.sweep``, and both use it.
+Every kernel row of the study is independent, so
+:class:`~repro.sweep.parallel.ParallelSweepRunner` splits the kernel
+axis into contiguous tiles (:func:`tile_bounds`, which the serial study
+engine also uses to cache-block its lattice) and hands them to one
+:class:`TileExecutor`. A caller supplies a module-level *tile function*
+(``payload -> result dict``, whose ``"rows"`` are the tile's float64
+result rows) and an ``on_tile`` callback; the executor owns the
+persistent pool, the shared-memory write-back of rows, per-tile
+timeouts, retries and the serial fallback, which calls the same tile
+function in-process (so fault hooks meant for workers check
+:func:`in_worker`). DESIGN.md, "Tile executor", has the rules. The
+module is neutral in the package hierarchy: ``repro.gpu`` must not
+import ``repro.sweep``, and both use it.
 """
 
 from __future__ import annotations
@@ -119,9 +120,6 @@ class SupervisionStats:
     #: Tiles that exhausted their retries and ran in-process.
     degraded_tiles: int = 0
     worker_errors: List[str] = field(default_factory=list)
-    #: pid -> model constructions that process had performed when it
-    #: returned its latest tile (filled by the ``study-mt`` engine).
-    worker_models: Dict[int, int] = field(default_factory=dict)
 
 
 class TileExecutor:

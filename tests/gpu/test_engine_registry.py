@@ -246,3 +246,11 @@ class TestCallInstrumentation:
         assert engine_calls("interval") == 1
         assert engine_calls("event") == 0
         reset_engine_calls()
+
+
+class TestClose:
+    def test_close_without_pool_is_harmless(self):
+        for engine in ("interval", "interval-batch", "event"):
+            sim = GpuSimulator(engine)
+            sim.close()
+            sim.close()

@@ -1,5 +1,6 @@
 """DRAM model: efficiency, latency composition, queueing bounds."""
 
+import numpy as np
 import pytest
 
 from repro.gpu import HardwareConfig, MemoryModel
@@ -28,6 +29,29 @@ class TestBandwidthEfficiency:
 
     def test_efficiency_capped_at_one(self, model):
         assert model.bandwidth_efficiency(1.0, 0.0, 1) <= 1.0
+
+    def test_batch_is_bit_exact_with_scalar(self, model):
+        """Repeated and distinct (CU, sensitivity) pairs, including a
+        zero exponent, evaluate exactly as the scalar method does."""
+        rng = np.random.default_rng(7)
+        sensitivity = np.concatenate(
+            [[0.0, 1.0, 1.0], rng.uniform(0.0, 1.0, 9)]
+        )
+        coalescing = rng.uniform(0.05, 1.0, sensitivity.size)
+        active = rng.integers(1, 45, (sensitivity.size, 11))
+        batch = model.bandwidth_efficiency_batch(
+            coalescing, sensitivity, active
+        )
+        scalar = [
+            [
+                model.bandwidth_efficiency(
+                    coalescing[k], sensitivity[k], int(active[k, c])
+                )
+                for c in range(active.shape[1])
+            ]
+            for k in range(sensitivity.size)
+        ]
+        np.testing.assert_array_equal(batch, scalar)
 
     def test_rejects_zero_cus(self, model):
         with pytest.raises(ValueError):

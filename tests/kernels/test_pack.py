@@ -22,12 +22,17 @@ from repro.kernels import (
     ResourceUsage,
     pack_kernels,
 )
+import repro.kernels.pack as pack_module
+from repro.gpu import GpuSimulator
 from repro.kernels.pack import (
     CHARACTERISTIC_FIELDS,
     GEOMETRY_FIELDS,
     RESOURCE_FIELDS,
+    clear_pack_cache,
+    memoized_pack,
 )
 from repro.suites import all_kernels
+from repro.sweep import reduced_space
 
 characteristics = st.builds(
     KernelCharacteristics,
@@ -178,3 +183,59 @@ class TestPackProperties:
             pack.total_waves,
             pack.num_workgroups * pack.waves_per_workgroup,
         )
+
+
+class TestMemoizedPack:
+    def test_same_catalog_returns_same_pack(self):
+        clear_pack_cache()
+        kernels = all_kernels("rodinia")
+        assert memoized_pack(kernels) is memoized_pack(list(kernels))
+
+    def test_pack_built_once_across_repeated_studies(self, monkeypatch):
+        clear_pack_cache()
+        constructions = []
+        original = KernelPack.from_kernels.__func__
+
+        def counting(cls, kernels):
+            constructions.append(len(kernels))
+            return original(cls, kernels)
+
+        monkeypatch.setattr(
+            pack_module.KernelPack,
+            "from_kernels",
+            classmethod(counting),
+        )
+        kernels = all_kernels("parboil")
+        space = reduced_space(2, 2, 2)
+        sim = GpuSimulator()
+        for _ in range(3):
+            sim.simulate_study(kernels, space)
+        assert constructions == [len(kernels)]
+        clear_pack_cache()
+
+    def test_identity_key_distinguishes_catalogs(self):
+        clear_pack_cache()
+        rodinia = all_kernels("rodinia")
+        parboil = all_kernels("parboil")
+        assert memoized_pack(rodinia) is not memoized_pack(parboil)
+        assert_packs_equal(memoized_pack(rodinia), rodinia)
+        assert_packs_equal(memoized_pack(parboil), parboil)
+        assert_packs_equal(memoized_pack(rodinia[::-1]), rodinia[::-1])
+        # Equal content in distinct objects: never a stale pack.
+        copies = [Kernel.from_dict(k.to_dict()) for k in rodinia]
+        assert copies == rodinia
+        assert all(c is not k for c, k in zip(copies, rodinia))
+        assert_packs_equal(memoized_pack(copies), rodinia)
+        clear_pack_cache()
+
+
+def assert_packs_equal(pack, kernels):
+    """*pack* holds exactly what packing *kernels* afresh would."""
+    fresh = KernelPack.from_kernels(kernels)
+    assert pack.names == fresh.names
+    assert pack.unpack() == list(kernels)
+    for field in ("characteristics", "geometry", "resources"):
+        mine, theirs = getattr(pack, field), getattr(fresh, field)
+        assert mine.keys() == theirs.keys()
+        for name in mine:
+            np.testing.assert_array_equal(mine[name], theirs[name])

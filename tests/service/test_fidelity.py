@@ -290,17 +290,6 @@ class TestEnginesCatalog:
             assert row["error_budget"] >= 0.0
             assert isinstance(row["fingerprint_material"], str)
 
-        study_mt = rows["study-mt"]
-        assert study_mt["family"] == "interval"
-        assert study_mt["fidelity"] == "exact"
-        assert study_mt["capabilities"] == {
-            "point": False, "grid": False, "study": True,
-        }
-        assert (
-            study_mt["fingerprint_material"]
-            == rows["interval-batch"]["fingerprint_material"]
-        )
-
         assert rows["event"]["fidelity"] == "reference"
         predictor = rows["predictor"]
         assert predictor["fidelity"] == "approximate"

@@ -80,8 +80,8 @@ class TestCommands:
         assert seen["grid_mode"] == "batch"
 
     def test_sweep_closes_its_runner(self, tmp_path, monkeypatch):
-        # A study-mt runner holds a process pool; the command must
-        # release it rather than leave it to garbage collection.
+        # A runner may hold engine resources; the command must release
+        # them rather than leave them to garbage collection.
         import repro.sweep.runner as runner_module
 
         self._shrink_sweep(monkeypatch, count=2)
@@ -96,9 +96,9 @@ class TestCommands:
         monkeypatch.setattr(runner_module, "SweepRunner",
                             RecordingRunner)
         out = tmp_path / "data.npz"
-        assert main(["sweep", "--out", str(out), "--engine", "study-mt",
-                     "--engine-mode", "study"]) == 0
-        assert closed == ["study-mt"]
+        assert main(["sweep", "--out", str(out), "--engine",
+                     "interval-batch", "--engine-mode", "study"]) == 0
+        assert closed == ["interval-batch"]
 
     def test_sweep_resume_uses_journal(self, tmp_path, capsys,
                                        monkeypatch):
@@ -345,8 +345,7 @@ class TestEnginesCommand:
         output = capsys.readouterr().out
         assert "Registered timing engines" in output
         for name in (
-            "interval", "interval-batch", "study-mt", "event",
-            "predictor",
+            "interval", "interval-batch", "event", "predictor",
         ):
             assert name in output
         # Capability matrix and descriptor columns are rendered.
