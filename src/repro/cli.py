@@ -497,7 +497,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         workers=args.workers,
-        brownout=args.brownout,
         restart_budget=args.restart_budget,
         restart_window_s=args.restart_window,
         hedge_fraction=(
@@ -815,13 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="engine worker processes; 1 serves "
                        "in-process, N>1 runs a sharded fleet behind "
                        "a router (default: 1)")
-    serve.add_argument("--brownout", default="off",
-                       choices=["off", "auto", "force"],
-                       help="degraded-fidelity policy for grid "
-                       "queries: 'auto' answers from the predictor "
-                       "tier (marked fidelity=degraded) when the "
-                       "exact tier is saturated or breaker-blocked, "
-                       "'force' always does (default: off)")
     serve.add_argument("--restart-budget", type=int, default=8,
                        metavar="N",
                        help="worker restarts allowed per sliding "

@@ -2,8 +2,7 @@
 
 Every evaluator in the repo — the scalar interval oracle, the
 vectorized batch/study interval engine, the discrete-event cross-check,
-the fault-injection wrapper, and the k-NN surrogate predictor — is a
-*timing engine*: an object that turns (kernel, hardware) questions into
+and the fault-injection wrapper — is a *timing engine*: an object that turns (kernel, hardware) questions into
 seconds. This module defines the one seam they all plug into:
 
 * :class:`TimingEngine` — the structural protocol. An engine declares
@@ -111,19 +110,8 @@ class EngineCapabilities:
 #: Fidelity tiers, most faithful first. ``reference`` engines model
 #: microarchitectural mechanisms directly (the discrete-event
 #: cross-check); ``exact`` engines are the analytical interval family
-#: that defines the study dataset; ``approximate`` engines trade
-#: accuracy for speed and publish a measured error budget. The service
-#: routes a toleranced query to the cheapest tier whose error fits.
-FIDELITY_TIERS: Tuple[str, ...] = ("reference", "exact", "approximate")
-
-
-def fidelity_rank(fidelity: str) -> int:
-    """Position of *fidelity* in :data:`FIDELITY_TIERS` (0 = most
-    faithful); unknown strings rank after every known tier."""
-    try:
-        return FIDELITY_TIERS.index(fidelity)
-    except ValueError:
-        return len(FIDELITY_TIERS)
+#: that defines the study dataset.
+FIDELITY_TIERS: Tuple[str, ...] = ("reference", "exact")
 
 
 @dataclass(frozen=True)
@@ -136,12 +124,9 @@ class EngineDescriptor:
     fingerprints must not distinguish them. *version* tracks the
     engine's numerics; *material* names the modelled substrate.
 
-    *fidelity* places the engine on the :data:`FIDELITY_TIERS` ladder
-    and *error_budget* bounds its error against the exact tier: 0.0
-    for reference/exact engines (equivalence-tested), a measured
-    median-relative-error ceiling for approximate ones. Neither field
-    enters :meth:`fingerprint_material` — fidelity metadata routes
-    queries, it does not change what an engine computes.
+    *fidelity* places the engine on the :data:`FIDELITY_TIERS` ladder.
+    It does not enter :meth:`fingerprint_material` — fidelity is
+    catalog metadata, it does not change what an engine computes.
     """
 
     name: str
@@ -149,7 +134,6 @@ class EngineDescriptor:
     version: int = 1
     material: str = "gcn3-hawaii-class"
     fidelity: str = "exact"
-    error_budget: float = 0.0
 
     def fingerprint_material(self) -> str:
         """The string cache keys and campaign journals embed.
@@ -438,12 +422,6 @@ def _event_factory(**kwargs: Any) -> Any:
     return EventSimulator(**kwargs)
 
 
-def _predictor_factory(**kwargs: Any) -> Any:
-    from repro.predict.engine import PredictorEngine
-
-    return PredictorEngine(**kwargs)
-
-
 def _faulty_factory(simulator: Any = None, specs: Any = (), **kwargs: Any) -> Any:
     from repro.gpu.simulator import GpuSimulator
     from repro.sweep.faults import FaultyEngine
@@ -461,17 +439,6 @@ INTERVAL_BATCH_DESCRIPTOR = EngineDescriptor(
 )
 EVENT_DESCRIPTOR = EngineDescriptor(
     name="event", family="event", fidelity="reference"
-)
-#: Declared ceiling on the predictor's median relative error across
-#: held-out corpus kernels — the static budget `/v1/engines` reports.
-#: Routing uses the live per-space measured error, which is tighter.
-PREDICTOR_ERROR_BUDGET = 0.35
-PREDICTOR_DESCRIPTOR = EngineDescriptor(
-    name="predictor",
-    family="predictor",
-    material="knn-surrogate",
-    fidelity="approximate",
-    error_budget=PREDICTOR_ERROR_BUDGET,
 )
 # The wrapper is its own family on purpose: family membership promises
 # numerical equivalence, so fault-corrupted results must never resolve
@@ -505,15 +472,6 @@ def _register_builtins() -> None:
         capabilities=EngineCapabilities(point=True),
         descriptor=EVENT_DESCRIPTOR,
         summary="discrete-event cross-check (workgroup granularity)",
-        replace=True,
-    )
-    register_engine(
-        "predictor",
-        _predictor_factory,
-        capabilities=EngineCapabilities(grid=True),
-        descriptor=PREDICTOR_DESCRIPTOR,
-        summary="k-NN surrogate: transplants corpus scaling surfaces "
-        "anchored by seven exact probe simulations",
         replace=True,
     )
     register_engine(

@@ -77,7 +77,7 @@ class GpuSimulator:
     """Simulate kernels on configurable GCN-class hardware.
 
     *engine* names any registered timing engine (``"interval"``,
-    ``"event"``, ``"predictor"``, ...) or is an engine object.
+    ``"event"``, ...) or is an engine object.
     Capability resolution happens once, here; no consumer
     above this facade branches on engine identity again.
     """
@@ -213,7 +213,7 @@ class GpuSimulator:
         Accepts a prepacked :class:`~repro.kernels.pack.KernelPack` or
         any kernel sequence (packed on the fly). Requires a
         study-capable engine in the selected family — callers holding
-        one without (the event engine, the predictor) get a
+        one without (the event engine) get a
         :class:`~repro.errors.ConfigurationError` and should fall back
         to per-kernel grids.
 

@@ -179,8 +179,8 @@ class DvfsOptimizer:
     """Exhaustive DVFS-space optimisation (891 points is tiny).
 
     *engine* names any registered timing engine; it is shorthand for
-    ``DvfsOptimizer(energy_model=EnergyModel(engine=...))`` and makes
-    the optimiser honour the engine registry's fidelity tiers.
+    ``DvfsOptimizer(energy_model=EnergyModel(engine=...))``, so the
+    optimiser prices whichever registered engine's timings it is given.
     """
 
     def __init__(

@@ -14,9 +14,9 @@ reference the surfaces are pinned against (rtol=1e-12 in
 Timing comes from the engine registry: ``EnergyModel(engine="...")``
 accepts any registered engine name (or a prebuilt
 :class:`~repro.gpu.simulator.GpuSimulator`), so energy analyses honour
-the same fidelity tiers as everything else. Surrogate tiers (the k-NN
-predictor) report zeroed interval breakdowns; their activity factors
-are therefore zero and they price the static/idle power floor — the
+the same fidelity tiers as everything else. Engines without an
+interval breakdown (the discrete-event cross-check) contribute zero
+activity factors and so price only the static/idle power floor — the
 exact interval family is the calibrated path.
 """
 
@@ -115,7 +115,7 @@ def _activities(result) -> Tuple[float, float]:
     Each domain's activity is the fraction of the kernel's runtime its
     bottleneck interval would occupy alone — a busy-time approximation
     that is exact when the interval dominates and conservative when it
-    overlaps. Results without an interval breakdown (surrogate tiers)
+    overlaps. Results without an interval breakdown (the event engine's)
     contribute zero switching activity.
     """
     breakdown = getattr(result, "breakdown", None)

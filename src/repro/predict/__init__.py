@@ -12,7 +12,6 @@ Two predictors over collected scaling data:
   to another's, via a corpus measured on both.
 """
 
-from repro.predict.engine import PredictorEngine
 from repro.predict.interpolate import CubeInterpolator, interpolator
 from repro.predict.predictor import PredictedCube, ScalingPredictor
 from repro.predict.what_if import (
@@ -41,7 +40,6 @@ __all__ = [
     "CrossFamilyPredictor",
     "CubeInterpolator",
     "PredictedCube",
-    "PredictorEngine",
     "ReconstructionReport",
     "SamplingPlan",
     "STANDARD_SCENARIOS",

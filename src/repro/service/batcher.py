@@ -170,15 +170,14 @@ class GridQuery:
         return self.result(grid.items_per_second)
 
     def result(
-        self, items_per_second: Any, **provenance: Any
+        self, items_per_second: Any, from_cache: bool = False
     ) -> "GridResult":
-        """This query's answer around a throughput surface; *provenance*
-        sets ``from_cache``, ``fidelity`` and ``error_estimate``."""
+        """This query's answer around a throughput surface."""
         return GridResult(
             kernel_name=self.kernel.full_name,
             items_per_second=np.asarray(items_per_second),
             global_size=self.kernel.geometry.global_size,
-            **provenance,
+            from_cache=from_cache,
         )
 
     def cache_load(self, cache: Any, fingerprint: str):
@@ -313,19 +312,12 @@ class GridResult:
     study call, a solo grid call, or the sweep cache. Time is *always*
     derived as ``global_size / items_per_second`` by consumers, so
     every path reports identical bits for both tensors.
-
-    ``fidelity`` is ``"exact"`` for every engine/cache path and
-    ``"degraded"`` only when the brownout tier answered — degraded
-    surfaces additionally carry the tier's measured relative
-    ``error_estimate`` so a response is never silently approximate.
     """
 
     kernel_name: str
     items_per_second: np.ndarray
     global_size: int
     from_cache: bool = False
-    fidelity: str = "exact"
-    error_estimate: Optional[float] = None
 
     @property
     def time_s(self) -> np.ndarray:

@@ -491,17 +491,6 @@ class ServiceMetrics:
             "Worker processes respawned by the router, by shard.",
             ("shard",),
         )
-        self.degraded = r.counter(
-            "gpuscale_degraded_total",
-            "Responses answered at degraded fidelity, by reason.",
-            ("reason",),
-        )
-        self.tier_selected = r.counter(
-            "gpuscale_tier_selected_total",
-            "Grid queries routed to a fidelity tier, by tier and "
-            "routing reason.",
-            ("tier", "reason"),
-        )
         self.family_queries = r.counter(
             "gpuscale_family_queries_total",
             "Grid queries served, by microarchitecture family "
@@ -582,16 +571,6 @@ class ServiceMetrics:
         """Count one worker respawn for *shard*."""
         with self.registry.lock:
             self.worker_restarts.inc(1.0, str(shard))
-
-    def record_degraded(self, reason: str) -> None:
-        """Count one degraded-fidelity response."""
-        with self.registry.lock:
-            self.degraded.inc(1.0, reason)
-
-    def record_tier(self, tier: str, reason: str) -> None:
-        """Count one fidelity-tier routing decision for a grid query."""
-        with self.registry.lock:
-            self.tier_selected.inc(1.0, tier, reason)
 
     def record_family(self, family: str) -> None:
         """Count one grid query against a microarchitecture family."""

@@ -1,14 +1,13 @@
-"""Fleet resilience primitives: breakers, budgets, deadlines, brownout.
+"""Fleet resilience primitives: breakers, budgets, deadlines.
 
 The service's failure-handling policy lives here, separated from the
 mechanisms that enforce it (:mod:`repro.service.router` wires breakers
-and restart budgets around worker processes, :mod:`repro.service.
-server` wires brownout around the executor seam). Everything in this
+and restart budgets around worker processes). Everything in this
 module is deliberately clock-injected — callers pass ``now`` — so the
 state machines are deterministic under test and replayable under the
 chaos harness.
 
-Four pieces:
+Three pieces:
 
 * :class:`CircuitBreaker` — the classic three-state machine guarding
   one worker. Repeated *infrastructure* failures (timeouts, transport
@@ -29,22 +28,14 @@ Four pieces:
   ``time.monotonic()`` terms (CLOCK_MONOTONIC is system-wide on
   Linux, so router and workers agree on it); every hop checks it and
   cancels work the client can no longer benefit from.
-* :class:`BrownoutExecutor` — the degraded-fidelity fallback. When
-  the exact tier is saturated or breaker-blocked, grid queries are
-  answered by the registered ``predictor`` engine (7 exact probes +
-  surface transplant) instead of being refused, with an explicit
-  ``fidelity="degraded"`` marker and a measured leave-one-out error
-  estimate so callers know precisely what they got.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Optional
 
 from repro.errors import ReproError
 
@@ -262,128 +253,3 @@ class RestartBudget:
         if self.available(now) > 0:
             return 0.0
         return max(0.0, self._spent[0] + self.window_s - now)
-
-
-# ----------------------------------------------------------------------
-# Fidelity brownout
-# ----------------------------------------------------------------------
-
-#: Brownout policies accepted by ``gpuscale serve --brownout``.
-BROWNOUT_MODES = ("off", "auto", "force")
-
-
-class BrownoutExecutor:
-    """Degraded-fidelity grid answers from the predictor tier.
-
-    Owns one registered ``predictor`` engine instance and a dedicated
-    single worker thread (the predictor's per-space corpus cache is
-    not thread-safe). :meth:`submit` answers a
-    :class:`~repro.service.batcher.GridQuery` with the surrogate
-    surface, marked ``fidelity="degraded"`` and carrying the engine's
-    measured leave-one-out error for that configuration space — an
-    honest answer to "how wrong might this be".
-
-    This is intentionally the *only* degraded tier for now: point
-    queries cannot brown out (the predictor is grid-only, and a single
-    point costs the same seven exact probes a surface does).
-    """
-
-    def __init__(self, engine: str = "predictor"):
-        self._engine_name = engine
-        self._engine: Any = None
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._error_estimates: Dict[Any, float] = {}
-
-    @property
-    def engine_name(self) -> str:
-        """The registered engine answering degraded queries."""
-        return self._engine_name
-
-    def _resolve(self) -> Any:
-        if self._engine is None:
-            from repro.gpu.engine import get_engine
-
-            self._engine = get_engine(self._engine_name)
-            if not getattr(self._engine, "supports_grid", False):
-                raise ValueError(
-                    f"brownout engine {self._engine_name!r} is not "
-                    "grid-capable"
-                )
-        return self._engine
-
-    def start(self) -> None:
-        """Create the evaluation thread (idempotent)."""
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="gpuscale-brownout"
-            )
-
-    def stop(self) -> None:
-        """Join the evaluation thread (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def error_estimate(self, space: Any) -> Optional[float]:
-        """Measured relative error of the degraded tier on *space*.
-
-        Asks the engine for its own accuracy measurement when it can
-        provide one (:meth:`~repro.predict.engine.PredictorEngine.
-        measured_error` runs leave-one-out over the transplant corpus)
-        and caches it per space; ``None`` when the engine has no error
-        story to tell.
-        """
-        cached = self._error_estimates.get(space)
-        if cached is not None:
-            return cached
-        probe = getattr(self._resolve(), "measured_error", None)
-        if probe is None:
-            return None
-        estimate = float(probe(space))
-        self._error_estimates[space] = estimate
-        return estimate
-
-    async def error_estimate_async(self, space: Any) -> Optional[float]:
-        """:meth:`error_estimate`, evaluated on the tier's own thread.
-
-        The first call per space runs leave-one-out over the corpus —
-        too much work for the event loop, and the predictor's caches
-        are only safe on the single executor thread that also serves
-        :meth:`submit`.
-        """
-        if self._executor is None:
-            self.start()
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._executor, self.error_estimate, space
-        )
-
-    async def submit(self, query: Any, fidelity: str = "degraded") -> Any:
-        """Answer one grid query from the surrogate tier.
-
-        *fidelity* labels the answer: ``"degraded"`` when brownout
-        pressed this tier into service, ``"approximate"`` when the
-        caller's tolerance selected it on purpose. The numbers are the
-        same either way; the label tells the client which contract
-        applied.
-        """
-        from repro.service.batcher import GridQuery
-
-        if not isinstance(query, GridQuery):
-            raise TypeError(
-                f"brownout serves grid queries only, got {query!r}"
-            )
-        if self._executor is None:
-            self.start()
-        loop = asyncio.get_running_loop()
-
-        def evaluate() -> Any:
-            engine = self._resolve()
-            grid = engine.simulate_grid(query.kernel, query.space)
-            return query.result(
-                grid.items_per_second,
-                fidelity=fidelity,
-                error_estimate=self.error_estimate(query.space),
-            )
-
-        return await loop.run_in_executor(self._executor, evaluate)

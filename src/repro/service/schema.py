@@ -83,11 +83,6 @@ class SimulateRequest:
     config: Optional[HardwareConfig] = None
     space: Optional[ConfigurationSpace] = None
     timeout_s: Optional[float] = None
-    #: Acceptable relative error (from the optional ``tolerance`` body
-    #: key). ``None`` demands the exact tier; a number lets the server
-    #: answer from the cheapest fidelity tier whose measured error
-    #: fits. Grid queries only.
-    tolerance: Optional[float] = None
 
     @property
     def is_grid(self) -> bool:
@@ -102,7 +97,6 @@ class ClassifyRequest:
     kernel: Kernel
     space: ConfigurationSpace
     timeout_s: Optional[float] = None
-    tolerance: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -415,11 +409,12 @@ def parse_timeout_ms(payload: Mapping[str, Any]) -> Optional[float]:
 
 
 def parse_tolerance(payload: Mapping[str, Any]) -> Optional[float]:
-    """The optional acceptable relative error for fidelity routing.
+    """The optional acceptable relative error of a grid query.
 
     ``tolerance`` is a fraction (``0.25`` accepts answers within 25%
-    of the exact tier); ``0`` explicitly demands exactness. Absent
-    means exact — tiered routing is strictly opt-in.
+    of the exact surface). Every query is answered exactly, and an
+    exact answer satisfies every tolerance, so a valid value is
+    accepted and otherwise ignored; a malformed one is still a 400.
     """
     if "tolerance" not in payload:
         return None
@@ -471,7 +466,6 @@ def parse_simulate(payload: Any) -> SimulateRequest:
         kernel=kernel,
         space=parse_space(payload["space"]),
         timeout_s=timeout_s,
-        tolerance=tolerance,
     )
 
 
@@ -484,12 +478,9 @@ def parse_classify(payload: Any) -> ClassifyRequest:
     space = (
         parse_space(payload["space"]) if "space" in payload else PAPER_SPACE
     )
-    return ClassifyRequest(
-        kernel=kernel,
-        space=space,
-        timeout_s=parse_timeout_ms(payload),
-        tolerance=parse_tolerance(payload),
-    )
+    timeout_s = parse_timeout_ms(payload)
+    parse_tolerance(payload)  # validated only: every answer is exact
+    return ClassifyRequest(kernel=kernel, space=space, timeout_s=timeout_s)
 
 
 def parse_transfer(payload: Any) -> TransferRequest:

@@ -63,12 +63,7 @@ from repro.service.batcher import (
 from repro.service.chaos import ChaosConfig
 from repro.service.errors import error_kind
 from repro.service.metrics import ServiceMetrics
-from repro.service.resilience import (
-    BROWNOUT_MODES,
-    BrownoutExecutor,
-    WorkerUnavailableError,
-    deadline_from_timeout,
-)
+from repro.service.resilience import deadline_from_timeout
 
 #: Submits one query to the executor under its request's budget.
 Submit = Callable[[Any], Awaitable[Any]]
@@ -110,16 +105,11 @@ class ServiceConfig:
     configured by the same ``max_batch`` / ``max_wait_ms`` /
     ``queue_limit`` knobs.
 
-    Resilience knobs (PR 7): ``brownout`` selects the degraded-tier
-    policy (``off`` refuses work under pressure as before, ``auto``
-    answers saturated or breaker-blocked grid queries from the
-    predictor tier with an explicit fidelity marker, ``force`` sends
-    *every* grid query there — a load-shedding and testing mode);
-    ``restart_budget`` / ``restart_window_s`` bound worker respawns
-    per sliding window; ``hedge_fraction`` is how much of a request's
-    deadline budget may burn before a grid query is hedged to a
-    second worker (``None`` disables hedging); ``chaos`` carries a
-    parsed fault-injection schedule into every worker.
+    Resilience knobs: ``restart_budget`` / ``restart_window_s`` bound
+    worker respawns per sliding window; ``hedge_fraction`` is how much
+    of a request's deadline budget may burn before a grid query is
+    hedged to a second worker (``None`` disables hedging); ``chaos``
+    carries a parsed fault-injection schedule into every worker.
     """
 
     host: str = "127.0.0.1"
@@ -132,18 +122,10 @@ class ServiceConfig:
     use_cache: bool = True
     cache_dir: Optional[str] = None
     workers: int = 1
-    brownout: str = "off"
     restart_budget: int = 8
     restart_window_s: float = 60.0
     hedge_fraction: Optional[float] = 0.5
     chaos: Optional[ChaosConfig] = None
-
-    def __post_init__(self) -> None:
-        if self.brownout not in BROWNOUT_MODES:
-            raise ValueError(
-                f"brownout must be one of {BROWNOUT_MODES}, got "
-                f"{self.brownout!r}"
-            )
 
 
 def _error_payload(code: str, message: str) -> Dict[str, Any]:
@@ -218,14 +200,6 @@ class GpuScaleService:
                 self._simulator, cache=cache, **batching
             )
         self.batcher = self.executor
-        # The surrogate tier serves two policies over one engine and
-        # thread: brownout (pressure pushes queries there) and
-        # tolerance routing (callers opt in per query). The former is
-        # config-gated; the latter is always available.
-        self._predictor_tier = BrownoutExecutor()
-        self.brownout: Optional[BrownoutExecutor] = None
-        if config.brownout != "off":
-            self.brownout = self._predictor_tier
         # (method, path) -> (schema parser name or None, handler).
         self._routes: Dict[Tuple[str, str], Tuple[Optional[str], Any]] = {
             ("GET", "/healthz"): (None, self._get_healthz),
@@ -294,7 +268,6 @@ class GpuScaleService:
         if drain:
             await self._idle.wait()
         await self.executor.stop(drain=drain)
-        self._predictor_tier.stop()
         for task in list(self._connections):
             task.cancel()
         if self._connections:
@@ -532,7 +505,7 @@ class GpuScaleService:
             ) from exc
 
     # ------------------------------------------------------------------
-    # Deadlines and brownout
+    # Deadlines
     # ------------------------------------------------------------------
 
     def _submitter(self, request: Any) -> Submit:
@@ -555,95 +528,12 @@ class GpuScaleService:
 
         return submit
 
-    async def _submit_grid(
-        self,
-        query: GridQuery,
-        submit: Submit,
-        tolerance: Optional[float] = None,
-    ) -> Tuple[Any, Optional[str]]:
-        """One grid query through tier routing and brownout policy.
-
-        Returns ``(result, reason)`` — the reason is ``None`` when the
-        exact tier answered normally. A *tolerance* routes the query to
-        the cheapest fidelity tier whose measured error fits: the
-        predictor (seven exact probes + surface transplant) when its
-        per-space leave-one-out error is within tolerance, the exact
-        tier otherwise — exact tiers have zero error, so they satisfy
-        any tolerance and are the unconditional fallback. Brownout is
-        orthogonal and keeps its PR 7 semantics: ``force`` routes every
-        grid query to the degraded tier, ``auto`` falls back there
-        only when the exact tier refuses (saturation or
-        breaker-blocked workers).
-        """
+    async def _submit_grid(self, query: GridQuery, submit: Submit) -> Any:
+        """Submit one grid query, counted against its family."""
         from repro.gpu.uarch import family_label
 
         self.metrics.record_family(family_label(query.space.uarch))
-        mode = self.config.brownout
-        if mode == "force" and self.brownout is not None:
-            return await self._degraded(query, "forced")
-        if tolerance is not None:
-            routed = await self._route_by_tolerance(query, tolerance)
-            if routed is not None:
-                return routed
-        try:
-            result = await submit(query)
-            if tolerance is None:
-                self.metrics.record_tier("exact", "default")
-            return result, None
-        except OverloadError:
-            if mode == "auto" and self.brownout is not None:
-                return await self._degraded(query, "saturation")
-            raise
-        except WorkerUnavailableError:
-            if mode == "auto" and self.brownout is not None:
-                return await self._degraded(query, "breaker")
-            raise
-
-    async def _route_by_tolerance(
-        self, query: GridQuery, tolerance: float
-    ) -> Optional[Tuple[Any, str]]:
-        """The approximate tier's answer, or ``None`` for exact.
-
-        Any surrogate-tier failure — no measured error, error above
-        tolerance, or the predictor itself erroring — resolves to the
-        exact tier: tolerance can only ever relax fidelity, never
-        availability.
-        """
-        try:
-            error = await self._predictor_tier.error_estimate_async(
-                query.space
-            )
-            if error is not None and error <= tolerance:
-                result = await self._predictor_tier.submit(
-                    query, fidelity="approximate"
-                )
-                self.metrics.record_tier("predictor", "tolerance")
-                return result, "tolerance"
-        except Exception:
-            pass
-        self.metrics.record_tier("exact", "tolerance_fallback")
-        return None
-
-    async def _degraded(
-        self, query: GridQuery, reason: str
-    ) -> Tuple[Any, str]:
-        self.metrics.record_degraded(reason)
-        return await self.brownout.submit(query), reason
-
-    @staticmethod
-    def _fidelity_fields(
-        result: Any, reason: Optional[str]
-    ) -> Dict[str, Any]:
-        """The response keys that declare what the caller got."""
-        fidelity = getattr(result, "fidelity", "exact")
-        fields: Dict[str, Any] = {"fidelity": fidelity}
-        if fidelity != "exact":
-            fields["fidelity_error"] = result.error_estimate
-        if fidelity == "degraded":
-            fields["degraded_reason"] = reason
-        elif fidelity == "approximate":
-            fields["tier"] = "predictor"
-        return fields
+        return await submit(query)
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -660,7 +550,6 @@ class GpuScaleService:
             )
             or self.config.engine,
             "queue_depth": self.executor.pending,
-            "brownout": self.config.brownout,
             "families": list(family_names()),
         }
         if self.fleet is not None:
@@ -689,7 +578,6 @@ class GpuScaleService:
                 "version": reg.descriptor.version,
                 "capabilities": reg.capabilities.as_dict(),
                 "fidelity": reg.descriptor.fidelity,
-                "error_budget": reg.descriptor.error_budget,
                 "fingerprint_material": (
                     reg.descriptor.fingerprint_material()
                 ),
@@ -720,10 +608,8 @@ class GpuScaleService:
                 "items_per_second": result.items_per_second,
                 "fidelity": "exact",
             }
-        result, reason = await self._submit_grid(
-            GridQuery(kernel=request.kernel, space=request.space),
-            submit,
-            tolerance=request.tolerance,
+        result = await self._submit_grid(
+            GridQuery(kernel=request.kernel, space=request.space), submit
         )
         return {
             "kernel": result.kernel_name,
@@ -731,7 +617,7 @@ class GpuScaleService:
             "items_per_second": result.items_per_second.tolist(),
             "time_s": result.time_s.tolist(),
             "from_cache": result.from_cache,
-            **self._fidelity_fields(result, reason),
+            "fidelity": "exact",
         }
 
     async def _post_classify(
@@ -739,10 +625,8 @@ class GpuScaleService:
     ) -> Dict[str, Any]:
         from repro.taxonomy.explain import explain_label
 
-        result, reason = await self._submit_grid(
-            GridQuery(kernel=request.kernel, space=request.space),
-            submit,
-            tolerance=request.tolerance,
+        result = await self._submit_grid(
+            GridQuery(kernel=request.kernel, space=request.space), submit
         )
         label = _classify_one(
             request.space, result.kernel_name, result.items_per_second
@@ -752,7 +636,7 @@ class GpuScaleService:
             **_label_json(label),
             "explanation": explain_label(label),
             "from_cache": result.from_cache,
-            **self._fidelity_fields(result, reason),
+            "fidelity": "exact",
         }
 
     async def _post_transfer(
@@ -768,7 +652,7 @@ class GpuScaleService:
             request.source_family,
             request.target_family,
         )
-        result, reason = await self._submit_grid(
+        result = await self._submit_grid(
             GridQuery(kernel=request.kernel, space=predictor.source.space),
             submit,
         )
@@ -799,7 +683,7 @@ class GpuScaleService:
             "target_space": _space_json(target_space),
             "items_per_second": prediction.cube.tolist(),
             "from_cache": result.from_cache,
-            **self._fidelity_fields(result, reason),
+            "fidelity": "exact",
         }
 
     async def _post_whatif(

@@ -116,19 +116,21 @@ class SweepRunner:
         check_kernel_list(kernels)
         names = [k.full_name for k in kernels]
 
-        n_cu, n_eng, n_mem = space.shape
-        perf = np.empty((len(kernels), n_cu, n_eng, n_mem), dtype=np.float64)
         quarantined: Dict[str, str] = {}
 
         # Whole-study evaluation, unless it failed or this simulator
         # does not support it: then the per-kernel loop attributes and
         # quarantines failures kernel by kernel.
-        study_perf = (
+        perf = (
             self._try_study(kernels, space) if self._mode == "study" else None
         )
-        if study_perf is not None:
-            perf[...] = study_perf
-            for row, reason in self._row_defects(perf).items():
+        if perf is not None:
+            defects = self._row_defects(perf)
+            if defects:
+                # The study's array is the engine's own buffer: copy it
+                # before writing NaN into the quarantined rows.
+                perf = perf.copy()
+            for row, reason in defects.items():
                 error = SimulationError(names[row], reason)
                 if strict:
                     raise error
@@ -138,6 +140,7 @@ class SweepRunner:
                 for row in range(len(kernels)):
                     progress(row + 1, len(kernels))
         else:
+            perf = np.empty((len(kernels),) + space.shape, dtype=np.float64)
             for row, kernel in enumerate(kernels):
                 try:
                     perf[row] = self._simulate_row(kernel, space)

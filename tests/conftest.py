@@ -13,6 +13,13 @@ from __future__ import annotations
 import pytest
 
 from repro.gpu import HardwareConfig, W9100_LIKE
+from repro.gpu.engine import (
+    EngineCapabilities,
+    EngineDescriptor,
+    register_engine,
+    unregister_engine,
+)
+from repro.gpu.interval_batch import BatchIntervalModel
 from repro.kernels import ARCHETYPE_BUILDERS
 from repro.suites import all_kernels
 from repro.sweep import SweepRunner, collect_paper_dataset, reduced_space
@@ -70,3 +77,38 @@ def flagship() -> HardwareConfig:
 def catalog_kernels():
     """Every kernel in the catalog."""
     return all_kernels()
+
+
+GRID_ONLY = "test-grid-only"
+
+
+class GridOnlyEngine:
+    """The batch interval engine re-registered in a family of its own
+    with only the per-kernel grid path: no family sibling offers a
+    point or a study evaluation."""
+
+    supports_point = False
+    supports_grid = True
+    supports_study = False
+
+    def __init__(self):
+        self._batch = BatchIntervalModel()
+
+    def descriptor(self):
+        return EngineDescriptor(name=GRID_ONLY, family=GRID_ONLY)
+
+    def simulate_grid(self, kernel, space):
+        return self._batch.simulate_grid(kernel, space)
+
+
+@pytest.fixture
+def grid_only_engine():
+    """Registry name of a grid-only engine, unregistered afterwards."""
+    register_engine(
+        GRID_ONLY,
+        GridOnlyEngine,
+        capabilities=EngineCapabilities(grid=True),
+        summary="grid-only batch model for capability tests",
+    )
+    yield GRID_ONLY
+    unregister_engine(GRID_ONLY)

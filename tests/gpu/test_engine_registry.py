@@ -15,6 +15,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.gpu.engine import (
+    FIDELITY_TIERS,
     EngineCapabilities,
     EngineDescriptor,
     GridSpace,
@@ -72,8 +73,9 @@ def scratch_engine():
 class TestRegistrySemantics:
     def test_builtins_are_registered(self):
         assert set(engine_names()) >= {
-            "interval", "interval-batch", "event", "predictor", "faulty",
+            "interval", "interval-batch", "event", "faulty",
         }
+        assert "predictor" not in engine_names()
 
     def test_get_engine_returns_fresh_instances(self):
         first = get_engine("interval")
@@ -164,6 +166,31 @@ class TestDescriptorsAndFingerprints:
             get_engine("interval-batch").descriptor().family == "interval"
         )
         assert get_engine("event").descriptor().family == "event"
+
+    def test_fidelity_ladder_is_reference_then_exact(self):
+        assert FIDELITY_TIERS == ("reference", "exact")
+
+    def test_every_registration_sits_on_the_ladder(self):
+        for entry in list_engines():
+            assert entry.descriptor.fidelity in FIDELITY_TIERS
+
+    def test_descriptor_carries_no_error_budget(self):
+        descriptor = EngineDescriptor(name="x", family="x")
+        assert not hasattr(descriptor, "error_budget")
+        with pytest.raises(TypeError):
+            EngineDescriptor(name="x", family="x", error_budget=0.1)
+
+    def test_predictor_is_not_a_registered_engine(self):
+        with pytest.raises(ConfigurationError, match="unknown engine"):
+            get_engine("predictor")
+
+    def test_predict_package_exports_no_engine(self):
+        import importlib.util
+
+        import repro.predict
+
+        assert not hasattr(repro.predict, "PredictorEngine")
+        assert importlib.util.find_spec("repro.predict.engine") is None
 
 
 class TestFamilyNegotiation:

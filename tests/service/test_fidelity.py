@@ -1,12 +1,11 @@
-"""Tolerance-tiered fidelity routing over the wire.
+"""The ``tolerance`` key over the wire.
 
-A grid query may opt into approximation by naming its error budget:
-``tolerance`` routes the query to the predictor tier when the tier's
-measured error fits inside the budget, and falls back to the exact
-interval engines otherwise. Point queries are always exact and reject
-the key outright. These tests pin the schema contract, both routing
-outcomes, the tier-selection metrics, and the enriched ``/v1/engines``
-catalog that advertises each engine's fidelity tier and error budget.
+A grid query may name the relative error it accepts. Every query is
+answered exactly, and an exact answer satisfies every tolerance, so a
+valid ``tolerance`` is validated and then has no effect: the answer is
+bit-equal to the untoleranced one, single-process and in a fleet. A
+malformed value is a structured 400, and point queries reject the key
+outright. ``/v1/engines`` advertises each engine's fidelity tier.
 """
 
 from __future__ import annotations
@@ -28,10 +27,7 @@ SMALL_SPACE_BODY = {
     "engine_mhz": [300.0, 1000.0],
     "memory_mhz": [475.0, 1250.0],
 }
-# The predictor's measured error on SMALL_SPACE is ~0.10, so a 0.5
-# budget admits the approximate tier and 0.01 demands the exact one.
 LOOSE_TOLERANCE = 0.5
-TIGHT_TOLERANCE = 0.01
 
 
 def run(coro):
@@ -62,20 +58,18 @@ def get(service, path):
 
 class TestToleranceSchema:
     def test_absent_tolerance_parses_to_none(self):
-        request = schema.parse_simulate(
-            {"kernel": KERNEL, "space": dict(SMALL_SPACE_BODY)}
-        )
-        assert request.tolerance is None
+        body = {"kernel": KERNEL, "space": dict(SMALL_SPACE_BODY)}
+        assert schema.parse_simulate(body).is_grid
+        assert schema.parse_tolerance(body) is None
 
     def test_valid_tolerance_parses_to_float(self):
-        request = schema.parse_simulate(
-            {
-                "kernel": KERNEL,
-                "space": dict(SMALL_SPACE_BODY),
-                "tolerance": 0.25,
-            }
-        )
-        assert request.tolerance == 0.25
+        body = {
+            "kernel": KERNEL,
+            "space": dict(SMALL_SPACE_BODY),
+            "tolerance": 0.25,
+        }
+        assert schema.parse_simulate(body).is_grid
+        assert schema.parse_tolerance(body) == 0.25
 
     @pytest.mark.parametrize(
         "tolerance", [True, False, "0.5", -0.1, float("nan"), None]
@@ -125,8 +119,44 @@ class TestToleranceSchema:
         assert payload["error"]["code"] == "invalid_tolerance"
 
 
-class TestToleranceRouting:
-    def test_loose_tolerance_answered_by_predictor_tier(self):
+class TestToleranceAnsweredExactly:
+    """A valid tolerance changes nothing about the answer."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/v1/simulate", {"kernel": KERNEL, "space": SMALL_SPACE_BODY}),
+            ("/v1/classify", {"kernel": KERNEL}),
+        ],
+        ids=["simulate-grid", "classify"],
+    )
+    def test_toleranced_answer_equals_untoleranced(
+        self, path, body, workers
+    ):
+        async def scenario(service):
+            plain = await post(service, path, body)
+            toleranced = await post(
+                service, path, {**body, "tolerance": LOOSE_TOLERANCE}
+            )
+            return [
+                (status, json.loads(raw)) for status, raw in (plain, toleranced)
+            ]
+
+        (status, plain), (t_status, toleranced) = with_service(
+            scenario, workers=workers
+        )
+        assert status == t_status == 200
+        assert toleranced == plain
+        assert toleranced["fidelity"] == "exact"
+        assert "tier" not in toleranced
+        assert "fidelity_error" not in toleranced
+
+    def test_toleranced_grid_is_the_exact_surface(self):
+        from repro.gpu import GpuSimulator
+        from repro.suites import kernel_by_name
+        from repro.sweep.space import ConfigurationSpace
+
         async def scenario(service):
             status, body = await post(
                 service,
@@ -137,88 +167,18 @@ class TestToleranceRouting:
                     "tolerance": LOOSE_TOLERANCE,
                 },
             )
-            _, metrics = await get(service, "/metrics")
-            return status, json.loads(body), metrics.decode()
+            return status, json.loads(body)
 
-        status, payload, metrics = with_service(scenario)
+        status, payload = with_service(scenario)
         assert status == 200
-        assert payload["fidelity"] == "approximate"
-        assert payload["tier"] == "predictor"
-        assert 0.0 <= payload["fidelity_error"] <= LOOSE_TOLERANCE
-        assert "degraded_reason" not in payload
-
-        from repro.gpu.engine import get_engine
-        from repro.suites import kernel_by_name
-        from repro.sweep.space import ConfigurationSpace
-
         space = ConfigurationSpace.from_dict(dict(SMALL_SPACE_BODY))
-        expected = get_engine("predictor").simulate_grid(
+        expected = GpuSimulator("interval").simulate_grid(
             kernel_by_name(KERNEL), space
         )
         np.testing.assert_array_equal(
             np.asarray(payload["items_per_second"]),
             expected.items_per_second,
         )
-        assert (
-            'gpuscale_tier_selected_total{tier="predictor", '
-            'reason="tolerance"} 1' in metrics
-        )
-
-    def test_tight_tolerance_falls_back_to_exact(self):
-        async def scenario(service):
-            status, body = await post(
-                service,
-                "/v1/simulate",
-                {
-                    "kernel": KERNEL,
-                    "space": SMALL_SPACE_BODY,
-                    "tolerance": TIGHT_TOLERANCE,
-                },
-            )
-            _, metrics = await get(service, "/metrics")
-            return status, json.loads(body), metrics.decode()
-
-        status, payload, metrics = with_service(scenario)
-        assert status == 200
-        assert payload["fidelity"] == "exact"
-        assert "tier" not in payload
-        assert "fidelity_error" not in payload
-
-        from repro.gpu import GpuSimulator
-        from repro.suites import kernel_by_name
-        from repro.sweep.space import ConfigurationSpace
-
-        space = ConfigurationSpace.from_dict(dict(SMALL_SPACE_BODY))
-        expected = GpuSimulator("interval").simulate_grid(
-            kernel_by_name(KERNEL), space
-        )
-        np.testing.assert_allclose(
-            np.asarray(payload["items_per_second"]),
-            expected.items_per_second,
-        )
-        assert (
-            'gpuscale_tier_selected_total{tier="exact", '
-            'reason="tolerance_fallback"} 1' in metrics
-        )
-
-    def test_untoleranced_query_counts_as_default_exact(self):
-        async def scenario(service):
-            status, body = await post(
-                service,
-                "/v1/simulate",
-                {"kernel": KERNEL, "space": SMALL_SPACE_BODY},
-            )
-            _, metrics = await get(service, "/metrics")
-            return status, json.loads(body), metrics.decode()
-
-        status, payload, metrics = with_service(scenario)
-        assert status == 200
-        assert payload["fidelity"] == "exact"
-        assert (
-            'gpuscale_tier_selected_total{tier="exact", '
-            'reason="default"} 1' in metrics
-        )
-        assert 'reason="tolerance"' not in metrics
 
     def test_zero_tolerance_is_valid_and_exact(self):
         async def scenario(service):
@@ -237,42 +197,73 @@ class TestToleranceRouting:
         assert status == 200
         assert payload["fidelity"] == "exact"
 
-    def test_classify_accepts_tolerance(self):
+
+class TestToleranceValues:
+    """Every valid tolerance, tight or loose, gets the same exact
+    answer; a malformed one is the same 400 on every path."""
+
+    @pytest.mark.parametrize("tolerance", [1e-9, 1.0, 1000.0])
+    def test_any_valid_tolerance_answers_identically(self, tolerance):
+        body = {"kernel": KERNEL, "space": SMALL_SPACE_BODY}
+
+        async def scenario(service):
+            plain = await post(service, "/v1/simulate", body)
+            toleranced = await post(
+                service, "/v1/simulate", {**body, "tolerance": tolerance}
+            )
+            return [
+                (status, json.loads(raw)) for status, raw in (plain, toleranced)
+            ]
+
+        (status, plain), (t_status, toleranced) = with_service(scenario)
+        assert status == t_status == 200
+        assert toleranced == plain
+
+    @pytest.mark.parametrize(
+        "tolerance", [True, False, "0.5", -0.1, float("nan"), None]
+    )
+    def test_classify_rejects_invalid_tolerance(self, tolerance):
+        with pytest.raises(RequestError) as excinfo:
+            schema.parse_classify({"kernel": KERNEL, "tolerance": tolerance})
+        assert excinfo.value.code == "invalid_tolerance"
+        assert excinfo.value.field == "tolerance"
+
+    def test_classify_accepts_valid_tolerance(self):
+        request = schema.parse_classify(
+            {"kernel": KERNEL, "tolerance": LOOSE_TOLERANCE}
+        )
+        assert request.kernel.full_name == KERNEL
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_http_400_on_bad_classify_tolerance(self, workers):
         async def scenario(service):
             status, body = await post(
                 service,
                 "/v1/classify",
-                {"kernel": KERNEL, "tolerance": LOOSE_TOLERANCE},
+                {"kernel": KERNEL, "tolerance": "loose"},
             )
             return status, json.loads(body)
 
-        status, payload = with_service(scenario)
-        assert status == 200
-        assert payload["fidelity"] in ("approximate", "exact")
-        if payload["fidelity"] == "approximate":
-            assert payload["tier"] == "predictor"
-            assert "fidelity_error" in payload
+        status, payload = with_service(scenario, workers=workers)
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_tolerance"
 
-    def test_routing_works_with_brownout_off_config(self):
-        """The predictor tier serves toleranced queries even when the
-        brownout degradation path is disabled."""
-
+    def test_fleet_400_on_bad_grid_tolerance(self):
         async def scenario(service):
-            assert service.brownout is None
             status, body = await post(
                 service,
                 "/v1/simulate",
                 {
                     "kernel": KERNEL,
                     "space": SMALL_SPACE_BODY,
-                    "tolerance": LOOSE_TOLERANCE,
+                    "tolerance": -1,
                 },
             )
             return status, json.loads(body)
 
-        status, payload = with_service(scenario, brownout="off")
-        assert status == 200
-        assert payload["fidelity"] == "approximate"
+        status, payload = with_service(scenario, workers=2)
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_tolerance"
 
 
 class TestEnginesCatalog:
@@ -286,11 +277,10 @@ class TestEnginesCatalog:
         rows = {row["name"]: row for row in payload["engines"]}
 
         for row in rows.values():
-            assert row["fidelity"] in ("reference", "exact", "approximate")
-            assert row["error_budget"] >= 0.0
+            assert row["fidelity"] in ("reference", "exact")
             assert isinstance(row["fingerprint_material"], str)
+            assert "error_budget" not in row
 
         assert rows["event"]["fidelity"] == "reference"
-        predictor = rows["predictor"]
-        assert predictor["fidelity"] == "approximate"
-        assert predictor["error_budget"] == pytest.approx(0.35)
+        assert rows["interval-batch"]["fidelity"] == "exact"
+        assert "predictor" not in rows

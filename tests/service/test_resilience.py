@@ -1,4 +1,4 @@
-"""The resilience primitives: breaker, budget, deadlines, brownout.
+"""The resilience primitives: breaker, budget, deadlines.
 
 Everything here drives the clock explicitly (the state machines take
 ``now``), so the transitions pinned are exact, not timing-dependent.
@@ -6,16 +6,10 @@ Everything here drives the clock explicitly (the state machines take
 
 from __future__ import annotations
 
-import asyncio
-
-import numpy as np
 import pytest
 
-from repro.service.batcher import GridQuery, PointQuery
 from repro.service.resilience import (
-    BROWNOUT_MODES,
     BreakerConfig,
-    BrownoutExecutor,
     CLOSED,
     CircuitBreaker,
     HALF_OPEN,
@@ -24,15 +18,6 @@ from repro.service.resilience import (
     deadline_from_timeout,
     expired,
     remaining_s,
-)
-from repro.suites import kernel_by_name
-from repro.sweep.space import ConfigurationSpace
-
-KERNEL = "rodinia/bfs.kernel1"
-SMALL_SPACE = ConfigurationSpace(
-    cu_counts=(4, 16, 44),
-    engine_mhz=(300.0, 1000.0),
-    memory_mhz=(475.0, 1250.0),
 )
 
 
@@ -173,59 +158,3 @@ class TestRestartBudget:
             RestartBudget(budget=0)
         with pytest.raises(ValueError):
             RestartBudget(window_s=0.0)
-
-
-class TestBrownoutExecutor:
-    def test_modes_are_the_cli_choices(self):
-        assert BROWNOUT_MODES == ("off", "auto", "force")
-
-    def test_answers_grids_marked_degraded_with_error_estimate(self):
-        brownout = BrownoutExecutor()
-        query = GridQuery(kernel_by_name(KERNEL), SMALL_SPACE)
-        try:
-            result = asyncio.run(brownout.submit(query))
-        finally:
-            brownout.stop()
-        assert result.fidelity == "degraded"
-        assert result.kernel_name == KERNEL
-        assert result.items_per_second.shape == (3, 2, 2)
-        assert np.all(result.items_per_second > 0)
-        # The marker is an honest measurement, not a placeholder.
-        assert result.error_estimate is not None
-        assert 0.0 <= result.error_estimate < 1.0
-
-    def test_degraded_surface_matches_predictor_engine(self):
-        from repro.gpu.engine import get_engine
-
-        brownout = BrownoutExecutor()
-        query = GridQuery(kernel_by_name(KERNEL), SMALL_SPACE)
-        try:
-            result = asyncio.run(brownout.submit(query))
-        finally:
-            brownout.stop()
-        direct = get_engine("predictor").simulate_grid(
-            kernel_by_name(KERNEL), SMALL_SPACE
-        )
-        np.testing.assert_array_equal(
-            result.items_per_second, direct.items_per_second
-        )
-
-    def test_error_estimate_is_cached_per_space(self):
-        brownout = BrownoutExecutor()
-        first = brownout.error_estimate(SMALL_SPACE)
-        second = brownout.error_estimate(SMALL_SPACE)
-        assert first == second
-        assert SMALL_SPACE in brownout._error_estimates
-
-    def test_rejects_point_queries(self):
-        from repro.gpu import W9100_LIKE
-
-        brownout = BrownoutExecutor()
-        query = PointQuery(kernel_by_name(KERNEL), W9100_LIKE)
-        with pytest.raises(TypeError, match="grid queries only"):
-            asyncio.run(brownout.submit(query))
-
-    def test_non_grid_engine_is_refused(self):
-        brownout = BrownoutExecutor(engine="does-not-exist")
-        with pytest.raises(Exception):
-            brownout.error_estimate(SMALL_SPACE)

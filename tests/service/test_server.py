@@ -296,16 +296,16 @@ class TestValidationErrors:
             json.loads(body)["error"]["code"] == "method_not_allowed"
         )
 
-    def test_unsupported_query_shape_400(self):
-        # The predictor engine is grid-only: a point query against it
-        # is a client error, not a server fault.
+    def test_unsupported_query_shape_400(self, grid_only_engine):
+        # A point query against a grid-only engine is a client error,
+        # not a server fault.
         async def scenario(service):
             status, body = await post(
                 service, "/v1/simulate", POINT_BODY
             )
             return status, json.loads(body)
 
-        status, payload = with_service(scenario, engine="predictor")
+        status, payload = with_service(scenario, engine=grid_only_engine)
         assert status == 400
         assert payload["error"]["code"] == "unsupported_query"
 
@@ -572,8 +572,8 @@ class TestConnectionBehaviour:
         assert payload["kernel"] == KERNEL
 
 
-class TestBrownoutAndFidelity:
-    """Fidelity marking and degraded (predictor) fallback answers."""
+class TestFidelityMarking:
+    """Every answer is exact, and says so."""
 
     def test_exact_grid_response_is_marked(self):
         async def scenario(service):
@@ -601,35 +601,7 @@ class TestBrownoutAndFidelity:
         assert status == 200
         assert payload["fidelity"] == "exact"
 
-    def test_forced_brownout_answers_from_the_predictor(self):
-        async def scenario(service):
-            status, body = await post(
-                service,
-                "/v1/simulate",
-                {"kernel": KERNEL, "space": SMALL_SPACE_BODY},
-            )
-            return status, json.loads(body)
-
-        status, payload = with_service(scenario, brownout="force")
-        assert status == 200
-        assert payload["fidelity"] == "degraded"
-        assert payload["degraded_reason"] == "forced"
-        assert 0.0 <= payload["fidelity_error"] < 1.0
-
-        from repro.gpu.engine import get_engine
-        from repro.suites import kernel_by_name
-        from repro.sweep.space import ConfigurationSpace
-
-        space = ConfigurationSpace.from_dict(dict(SMALL_SPACE_BODY))
-        expected = get_engine("predictor").simulate_grid(
-            kernel_by_name(KERNEL), space
-        )
-        np.testing.assert_array_equal(
-            np.asarray(payload["items_per_second"]),
-            expected.items_per_second,
-        )
-
-    def test_auto_brownout_absorbs_saturation(self):
+    def test_saturated_grid_query_429s(self):
         async def scenario(service):
             async def rejecting_submit(
                 query, timeout=None, deadline=None
@@ -644,43 +616,33 @@ class TestBrownoutAndFidelity:
             )
             return status, json.loads(body)
 
-        status, payload = with_service(scenario, brownout="auto")
-        assert status == 200
-        assert payload["fidelity"] == "degraded"
-        assert payload["degraded_reason"] == "saturation"
-
-    def test_brownout_off_still_429s_on_saturation(self):
-        async def scenario(service):
-            async def rejecting_submit(
-                query, timeout=None, deadline=None
-            ):
-                raise OverloadError("queue full")
-
-            service.batcher.submit = rejecting_submit
-            status, body = await post(
-                service,
-                "/v1/simulate",
-                {"kernel": KERNEL, "space": SMALL_SPACE_BODY},
-            )
-            return status, json.loads(body)
-
-        status, payload = with_service(scenario)  # brownout="off"
+        status, payload = with_service(scenario)
         assert status == 429
         assert payload["error"]["code"] == "overloaded"
 
-    def test_classify_carries_fidelity_fields(self):
+    def test_classify_response_is_marked_exact(self):
         async def scenario(service):
             status, body = await post(
                 service, "/v1/classify", {"kernel": KERNEL}
             )
             return status, json.loads(body)
 
-        status, payload = with_service(scenario, brownout="force")
+        status, payload = with_service(scenario)
         assert status == 200
-        assert payload["fidelity"] == "degraded"
-        assert payload["degraded_reason"] == "forced"
+        assert payload["fidelity"] == "exact"
+        assert "degraded_reason" not in payload
 
-    def test_degraded_responses_are_counted(self):
+    def test_healthz_has_no_brownout_mode(self):
+        async def scenario(service):
+            status, body = await get(service, "/healthz")
+            return status, json.loads(body)
+
+        status, payload = with_service(scenario)
+        assert status == 200
+        assert payload["status"] == "ok"
+        assert "brownout" not in payload
+
+    def test_metrics_have_no_tier_series(self):
         async def scenario(service):
             await post(
                 service,
@@ -690,17 +652,40 @@ class TestBrownoutAndFidelity:
             status, body = await get(service, "/metrics")
             return status, body.decode()
 
-        status, text = with_service(scenario, brownout="force")
+        status, text = with_service(scenario)
         assert status == 200
-        assert 'gpuscale_degraded_total{reason="forced"} 1' in text
+        assert "gpuscale_requests_total" in text
+        assert "gpuscale_degraded_total" not in text
+        assert "gpuscale_tier_selected_total" not in text
 
-    def test_healthz_reports_brownout_mode(self):
+    def test_config_has_no_brownout_field(self):
+        with pytest.raises(TypeError):
+            ServiceConfig(brownout="auto")
+
+    def test_grid_only_engine_serves_grid_queries(self, grid_only_engine):
         async def scenario(service):
-            status, body = await get(service, "/healthz")
-            return json.loads(body)
+            status, body = await post(
+                service,
+                "/v1/simulate",
+                {"kernel": KERNEL, "space": SMALL_SPACE_BODY},
+            )
+            return status, json.loads(body)
 
-        payload = with_service(scenario, brownout="auto")
-        assert payload["brownout"] == "auto"
+        status, payload = with_service(scenario, engine=grid_only_engine)
+        assert status == 200
+        assert payload["fidelity"] == "exact"
+
+        from repro.suites import kernel_by_name
+        from repro.sweep.space import ConfigurationSpace
+
+        space = ConfigurationSpace.from_dict(dict(SMALL_SPACE_BODY))
+        expected = GpuSimulator("interval-batch").simulate_grid(
+            kernel_by_name(KERNEL), space
+        )
+        np.testing.assert_array_equal(
+            np.asarray(payload["items_per_second"]),
+            expected.items_per_second,
+        )
 
 
 class TestDeadlinesOverHttp:

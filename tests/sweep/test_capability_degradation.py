@@ -6,7 +6,10 @@ A registry-registered *point-only* engine must flow through
 built-in fallback paths did pre-registry: grid requests degrade to the
 point loop bit-identically to the scalar oracle, study requests degrade
 to per-kernel grids, failures keep per-kernel quarantine attribution,
-and checkpointed campaigns resume bit-exactly.
+and checkpointed campaigns resume bit-exactly. A *grid-only* engine
+(the ``grid_only_engine`` fixture) is refused point and study calls by
+the facade, and a study request through the runner degrades to its
+per-kernel grids.
 """
 
 from __future__ import annotations
@@ -14,10 +17,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.gpu.engine import (
     EngineCapabilities,
     EngineDescriptor,
+    engine_registration,
+    get_engine,
     register_engine,
     unregister_engine,
 )
@@ -123,6 +128,88 @@ class TestPointLoopDegradation:
         np.testing.assert_allclose(
             study.perf, batch.perf, rtol=1e-12, atol=0
         )
+
+
+class TestGridOnlyCapability:
+    def test_facade_refuses_point_and_study(
+        self, grid_only_engine, archetype_kernels, flagship
+    ):
+        simulator = GpuSimulator(grid_only_engine)
+        with pytest.raises(ConfigurationError):
+            simulator.simulate(archetype_kernels[0], flagship)
+        with pytest.raises(ConfigurationError):
+            simulator.simulate_study(archetype_kernels, None)
+
+    def test_study_mode_degrades_through_runner(
+        self, grid_only_engine, archetype_kernels, small_space
+    ):
+        # No study capability anywhere in the grid-only family: the
+        # runner falls back to per-kernel grids transparently.
+        study = SweepRunner(engine=grid_only_engine, grid_mode="study").run(
+            archetype_kernels, small_space
+        )
+        batch = SweepRunner(engine=grid_only_engine).run(
+            archetype_kernels, small_space
+        )
+        np.testing.assert_array_equal(study.perf, batch.perf)
+        assert not study.quarantined
+
+    def test_registered_grid_only(self, grid_only_engine):
+        entry = engine_registration(grid_only_engine)
+        assert entry.capabilities.as_dict() == {
+            "point": False, "grid": True, "study": False,
+        }
+        assert entry.descriptor.family == grid_only_engine
+
+    def test_factory_builds_engine(self, grid_only_engine):
+        engine = get_engine(grid_only_engine)
+        assert engine.supports_grid and not engine.supports_point
+        assert engine.descriptor().name == grid_only_engine
+
+    def test_facade_grid_matches_batch_engine_bitwise(
+        self, grid_only_engine, archetype_kernels, small_space
+    ):
+        grid = GpuSimulator(grid_only_engine).simulate_grid(
+            archetype_kernels[0], small_space
+        )
+        batch = GpuSimulator("interval-batch").simulate_grid(
+            archetype_kernels[0], small_space
+        )
+        np.testing.assert_array_equal(
+            grid.items_per_second, batch.items_per_second
+        )
+
+    def test_sweep_runner_collects_grid_only_dataset(
+        self, grid_only_engine, archetype_kernels, small_space
+    ):
+        dataset = SweepRunner(engine=grid_only_engine).run(
+            archetype_kernels, small_space
+        )
+        assert dataset.perf.shape == (
+            (len(archetype_kernels),) + small_space.shape
+        )
+        assert np.isfinite(dataset.perf).all()
+        assert (dataset.perf > 0).all()
+        batch = SweepRunner(engine="interval-batch").run(
+            archetype_kernels, small_space
+        )
+        np.testing.assert_array_equal(dataset.perf, batch.perf)
+
+    def test_campaign_resume_is_bit_exact(
+        self, grid_only_engine, archetype_kernels, small_space, tmp_path
+    ):
+        runner = CampaignRunner(
+            tmp_path / "journal",
+            runner=SweepRunner(engine=grid_only_engine),
+            chunk_size=4,
+        )
+        first, _ = runner.run(archetype_kernels, small_space)
+        resumed, report = runner.run(
+            archetype_kernels, small_space, resume=True
+        )
+        assert report.resumed_chunks == report.total_chunks
+        assert report.executed_chunks == 0
+        np.testing.assert_array_equal(first.perf, resumed.perf)
 
 
 class TestQuarantineAttribution:

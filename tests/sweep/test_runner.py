@@ -1,10 +1,12 @@
 """SweepRunner: dataset collection over kernels x configurations."""
 
+from types import SimpleNamespace
+
 import pytest
 
 import numpy as np
 
-from repro.errors import DatasetError
+from repro.errors import DatasetError, SimulationError
 from repro.gpu import GpuSimulator
 from repro.kernels import compute_kernel, streaming_kernel
 from repro.sweep import SweepRunner, reduced_space
@@ -60,6 +62,77 @@ class TestRun:
         SweepRunner().run(kernels, space,
                           progress=lambda d, t: calls.append((d, t)))
         assert calls == [(1, 2), (2, 2)]
+
+
+class CannedStudy:
+    """A study-capable simulator that answers every study with one
+    fixed ``(kernels, cu, engine, memory)`` buffer it keeps owning."""
+
+    supports_study = True
+
+    def __init__(self, values):
+        self.values = values
+
+    def simulate_study(self, kernels, space):
+        return SimpleNamespace(items_per_second=self.values)
+
+
+class TestStudyBuffer:
+    """The study path uses the engine's array without a copy, and never
+    writes into it when quarantining a kernel."""
+
+    @pytest.fixture
+    def kernels(self):
+        return [compute_kernel("a", suite="t"),
+                streaming_kernel("b", suite="t")]
+
+    @pytest.fixture
+    def clean(self, kernels, space):
+        return SweepRunner(grid_mode="study").run(kernels, space).perf
+
+    def run_canned(self, values, kernels, space, strict):
+        return SweepRunner(
+            simulator=CannedStudy(values), grid_mode="study"
+        ).run(kernels, space, strict=strict)
+
+    def test_clean_study_values_pass_through(self, kernels, space, clean):
+        values = clean.copy()
+        dataset = self.run_canned(values, kernels, space, strict=True)
+        np.testing.assert_array_equal(dataset.perf, clean)
+        assert not dataset.quarantined
+
+    def test_quarantine_leaves_engine_buffer_untouched(
+        self, kernels, space, clean
+    ):
+        values = clean.copy()
+        values[1, 0, 0, 0] = -1.0
+        before = values.copy()
+        dataset = self.run_canned(values, kernels, space, strict=False)
+        np.testing.assert_array_equal(values, before)
+        assert set(dataset.quarantined) == {kernels[1].full_name}
+        assert "non-positive" in dataset.quarantined[kernels[1].full_name]
+        assert np.isnan(dataset.perf[1]).all()
+        np.testing.assert_array_equal(dataset.perf[0], clean[0])
+
+    def test_non_finite_row_is_quarantined_with_reason(
+        self, kernels, space, clean
+    ):
+        values = clean.copy()
+        values[0, -1, -1, -1] = np.inf
+        dataset = self.run_canned(values, kernels, space, strict=False)
+        assert "non-finite" in dataset.quarantined[kernels[0].full_name]
+        assert np.isinf(values[0, -1, -1, -1])
+
+    def test_strict_defect_names_kernel_and_keeps_buffer(
+        self, kernels, space, clean
+    ):
+        values = clean.copy()
+        values[1, 2, 2, 2] = 0.0
+        before = values.copy()
+        with pytest.raises(SimulationError) as excinfo:
+            self.run_canned(values, kernels, space, strict=True)
+        assert excinfo.value.kernel_name == kernels[1].full_name
+        np.testing.assert_array_equal(values, before)
 
 
 class TestPaperScale:

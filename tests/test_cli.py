@@ -344,10 +344,9 @@ class TestEnginesCommand:
         assert main(["engines"]) == 0
         output = capsys.readouterr().out
         assert "Registered timing engines" in output
-        for name in (
-            "interval", "interval-batch", "event", "predictor",
-        ):
+        for name in ("interval", "interval-batch", "event", "faulty"):
             assert name in output
+        assert "predictor" not in output
         # Capability matrix and descriptor columns are rendered.
         for column in (
             "point", "grid", "study", "family", "version", "fidelity",
@@ -355,7 +354,7 @@ class TestEnginesCommand:
             assert column in output
         assert "v1" in output
         # The fidelity-tier ladder is visible in the table.
-        for tier in ("reference", "exact", "approximate"):
+        for tier in ("reference", "exact"):
             assert tier in output
 
     def test_engines_reflects_new_registration(self, capsys):
@@ -413,6 +412,11 @@ class TestEnginesCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--engine", "warp-drive"])
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_serve_has_no_brownout_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--brownout", "auto"])
+        assert "--brownout" in capsys.readouterr().err
 
 
 class TestFamilies:
